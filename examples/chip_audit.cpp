@@ -27,9 +27,6 @@
 //                             cluster's exact matrices
 //   --canonical-cache-tol T   canonical key quantization tolerance (default
 //                             1e-6 relative)
-//   --batch-width W           lockstep lanes per reduced-transient batch
-//                             (default 1 = scalar; scheduling-only, findings
-//                             are bit-identical at any width)
 //   --cell-cache PATH         cell characterization cache file (default:
 //                             xtv_cells.cache next to the binary)
 //   --replicate-rows R        tile the design out of R identical rows
@@ -156,9 +153,6 @@ int main(int argc, char** argv) {
           flags::parse_double(arg, v, 0.0, 1.0, "a relative tolerance in (0,1]");
       if (options.canonical_cache_tol <= 0.0)
         flags::usage_error(arg, v, "a relative tolerance in (0,1]");
-    } else if (std::strcmp(arg, "--batch-width") == 0) {
-      options.batch_width =
-          flags::parse_size(arg, value(arg), 1, "an integer >= 1");
     } else if (std::strcmp(arg, "--cell-cache") == 0) {
       cell_cache = value(arg);
     } else if (std::strcmp(arg, "--replicate-rows") == 0) {
@@ -310,8 +304,6 @@ int main(int argc, char** argv) {
     std::printf("  canonical cache keys (quantization tol %.3g, "
                 "certificate-gated reuse)\n",
                 options.canonical_cache_tol);
-  if (options.batch_width > 1)
-    std::printf("  lockstep batch width %zu\n", options.batch_width);
   if (chip_options.replicate_rows > 1)
     std::printf("  %zu replicated rows%s\n", chip_options.replicate_rows,
                 chip_options.cluster_repeat_skew > 0.0 ? " (load-skewed)"
@@ -381,9 +373,6 @@ int main(int argc, char** argv) {
   if (report.canonical_hits + report.canonical_cert_rejects > 0)
     std::printf("canonical cache: certified-reuses=%zu cert-rejects=%zu\n",
                 report.canonical_hits, report.canonical_cert_rejects);
-  if (report.batched_victims > 0)
-    std::printf("batched: victims=%zu lane-fallbacks=%zu\n",
-                report.batched_victims, report.batch_lane_fallbacks);
   if (report.victims_audited > 0)
     std::printf("audit: sampled=%zu out-of-tolerance=%zu "
                 "worst peak delta=%.4g V worst arrival delta=%.3g s\n",

@@ -13,9 +13,6 @@
 //       --max-running N         concurrent job runners (default 1)
 //       --processes N           shard workers per runner when the job
 //                               spec does not say (default 2)
-//       --batch-width W         lockstep batch lanes per runner when the
-//                               job spec does not say (default 1;
-//                               scheduling-only, never changes findings)
 //       --retries N             default attempts after the first (default 2)
 //       --deadline-ms MS        default per-attempt wall clock (0 = off)
 //       --grace-ms MS           runner startup grace before the stall
@@ -102,9 +99,6 @@ int run_daemon(int argc, char** argv) {
       opt.max_running = flags::parse_size(arg, value(), 1, "an integer >= 1");
     } else if (std::strcmp(arg, "--processes") == 0) {
       opt.default_processes =
-          flags::parse_size(arg, value(), 1, "an integer >= 1");
-    } else if (std::strcmp(arg, "--batch-width") == 0) {
-      opt.default_batch_width =
           flags::parse_size(arg, value(), 1, "an integer >= 1");
     } else if (std::strcmp(arg, "--retries") == 0) {
       opt.default_retries =

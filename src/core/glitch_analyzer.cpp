@@ -364,10 +364,11 @@ GlitchAnalyzer::ReducedOutcome GlitchAnalyzer::reduce(
   return out;
 }
 
-GlitchAnalyzer::SimulateSetup GlitchAnalyzer::prepare_simulate(
+GlitchResult GlitchAnalyzer::simulate_reduced(
     const VictimSpec& victim, const std::vector<AggressorSpec>& aggressors,
     const PreparedCluster& prepared, const ReducedOutcome& reduced,
     const GlitchAnalysisOptions& options) {
+  Timer timer;
   const BuiltCluster& built = prepared.built;
   const std::vector<double>& switch_times = prepared.switch_times;
   const CachedReducedModel& payload = *reduced.payload;
@@ -377,24 +378,17 @@ GlitchAnalyzer::SimulateSetup GlitchAnalyzer::prepare_simulate(
   // simulator under the victim's scope. Cached and fresh payloads are
   // bit-identical by the fingerprint contract, so the transient below
   // cannot tell them apart.
-  SimulateSetup setup{
-      ReducedSimulator(
-          ReducedEigenSystem{payload.eigen.d, payload.eigen.eta}),
-      ReducedSimOptions{},
-      nullptr,
-      reduced.payload,
-      switch_times,
-      aggressors.size()};
-  ReducedSimulator& sim = setup.sim;
+  ReducedSimulator sim(ReducedEigenSystem{payload.eigen.d, payload.eigen.eta});
 
   // Victim driver.
+  std::shared_ptr<const OnePortDevice> victim_holder;
   const CellModel& vic_model = chars_.model(victim.driver_cell);
   if (options.driver_model == DriverModelKind::kNonlinearTable) {
     const double vin = victim_input_level(
         chars_.library().by_name(victim.driver_cell), victim.held_high, vdd);
-    setup.victim_holder = std::make_shared<NonlinearTableDriver>(
+    victim_holder = std::make_shared<NonlinearTableDriver>(
         std::make_shared<CellModel>(vic_model), SourceWave::dc(vin));
-    sim.set_termination(ClusterPorts::driver(0), setup.victim_holder);
+    sim.set_termination(ClusterPorts::driver(0), victim_holder);
   } else if (victim.held_high && built.victim_drive_r > 0.0) {
     // Norton equivalent of the Thevenin holder to Vdd.
     sim.set_input(ClusterPorts::driver(0),
@@ -430,20 +424,15 @@ GlitchAnalyzer::SimulateSetup GlitchAnalyzer::prepare_simulate(
     }
   }
 
-  setup.ropt.tstop = options.tstop;
-  setup.ropt.dt = options.dt;
-  setup.ropt.cancel = options.cancel;
-  return setup;
-}
-
-GlitchResult GlitchAnalyzer::measure_reduced(const SimulateSetup& setup,
-                                             const ReducedSimResult& res,
-                                             double cpu_seconds) {
+  ReducedSimOptions ropt;
+  ropt.tstop = options.tstop;
+  ropt.dt = options.dt;
+  ropt.cancel = options.cancel;
+  const ReducedSimResult res = sim.run(ropt);
   check_finite_waves(res.port_voltages, "GlitchAnalyzer::analyze");
 
-  const CachedReducedModel& payload = *setup.payload;
   GlitchResult out;
-  out.cpu_seconds = cpu_seconds;
+  out.cpu_seconds = timer.elapsed();
   out.reduced_order = payload.model.order();
   out.certificate = payload.certificate;  // copy: the payload may be shared
   out.certified = payload.certified;
@@ -451,35 +440,23 @@ GlitchResult GlitchAnalyzer::measure_reduced(const SimulateSetup& setup,
   out.peak = out.victim_wave.peak_deviation();
   out.peak_at_driver =
       res.port_voltages[ClusterPorts::driver(0)].peak_deviation();
-  if (setup.aggressor_count > 0)
+  if (!aggressors.empty())
     out.aggressor_wave = res.port_voltages[ClusterPorts::receiver(1)];
-  out.switch_times = setup.switch_times;
+  out.switch_times = switch_times;
 
   // Electromigration audit: reconstruct the victim holder's current from
   // its port-voltage waveform through the (memoryless) driver model.
-  if (setup.victim_holder) {
+  if (victim_holder) {
     const Waveform& vd = res.port_voltages[ClusterPorts::driver(0)];
     Waveform current;
     current.reserve(vd.size());
     for (std::size_t i = 0; i < vd.size(); ++i)
-      current.append(vd.time(i),
-                     setup.victim_holder->current(vd.value(i), vd.time(i)));
+      current.append(vd.time(i), victim_holder->current(vd.value(i), vd.time(i)));
     out.victim_driver_rms_current = current.rms();
     out.victim_driver_peak_current =
         std::max(std::fabs(current.max_value()), std::fabs(current.min_value()));
   }
   return out;
-}
-
-GlitchResult GlitchAnalyzer::simulate_reduced(
-    const VictimSpec& victim, const std::vector<AggressorSpec>& aggressors,
-    const PreparedCluster& prepared, const ReducedOutcome& reduced,
-    const GlitchAnalysisOptions& options) {
-  Timer timer;
-  SimulateSetup setup =
-      prepare_simulate(victim, aggressors, prepared, reduced, options);
-  const ReducedSimResult res = setup.sim.run(setup.ropt);
-  return measure_reduced(setup, res, timer.elapsed());
 }
 
 GlitchResult GlitchAnalyzer::analyze(const VictimSpec& victim,

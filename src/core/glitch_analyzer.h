@@ -153,21 +153,6 @@ class GlitchAnalyzer {
     bool canonical = false;
   };
 
-  /// Everything the SimulateReduced stage sets up before integrating: the
-  /// configured simulator, its run options, and the measurement context.
-  /// Splitting setup from measurement lets the batch scheduler
-  /// (mor/batch_sim.h) integrate many victims' simulators in lockstep and
-  /// feed each lane's result back through the identical measurement code.
-  struct SimulateSetup {
-    ReducedSimulator sim;
-    ReducedSimOptions ropt;
-    /// Victim holding device (EM audit context; null for linear holders).
-    std::shared_ptr<const OnePortDevice> victim_holder;
-    std::shared_ptr<const CachedReducedModel> payload;
-    std::vector<double> switch_times;
-    std::size_t aggressor_count = 0;
-  };
-
   /// BuildCluster stage: alignment probes (when enabled) + extraction.
   PreparedCluster prepare(const VictimSpec& victim,
                           const std::vector<AggressorSpec>& aggressors,
@@ -180,29 +165,11 @@ class GlitchAnalyzer {
 
   /// SimulateReduced stage: terminations, reduced transient, peak/EM
   /// measurements. Pure consumer of the previous stages' outputs.
-  /// Equivalent to prepare_simulate() -> ReducedSimulator::run ->
-  /// measure_reduced().
   GlitchResult simulate_reduced(const VictimSpec& victim,
                                 const std::vector<AggressorSpec>& aggressors,
                                 const PreparedCluster& prepared,
                                 const ReducedOutcome& reduced,
                                 const GlitchAnalysisOptions& options);
-
-  /// First half of SimulateReduced: builds the configured simulator and
-  /// run options without integrating. The batch scheduler parks victims
-  /// here and integrates their simulators together.
-  SimulateSetup prepare_simulate(const VictimSpec& victim,
-                                 const std::vector<AggressorSpec>& aggressors,
-                                 const PreparedCluster& prepared,
-                                 const ReducedOutcome& reduced,
-                                 const GlitchAnalysisOptions& options);
-
-  /// Second half of SimulateReduced: finiteness check, peak and EM
-  /// measurements on an integration result (scalar or batch lane).
-  /// `cpu_seconds` is recorded verbatim in the result.
-  GlitchResult measure_reduced(const SimulateSetup& setup,
-                               const ReducedSimResult& res,
-                               double cpu_seconds);
 
  private:
   /// Extracts the cluster network, adds receiver loads and driver output

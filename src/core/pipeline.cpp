@@ -124,63 +124,52 @@ struct VictimPipeline::RunState {
 
 VictimPipeline::VictimPipeline(PipelineContext ctx) : ctx_(std::move(ctx)) {}
 
-VictimPipeline::Parked::Parked(Deadline deadline, std::size_t mem_limit_bytes)
-    : scope_(std::make_unique<resource::ClusterScope>(mem_limit_bytes)),
-      budget_(deadline),
-      state_(std::make_unique<RunState>()) {}
-
-VictimPipeline::Parked::~Parked() = default;
-
-std::size_t VictimPipeline::Parked::victim_net() const { return state_->v; }
-
-std::size_t VictimPipeline::Parked::order() const { return setup_->sim.order(); }
-
-DriverModelKind VictimPipeline::Parked::driver_model() const {
-  return state_->attempt.driver_model;
-}
-
-double VictimPipeline::Parked::tstop() const { return setup_->ropt.tstop; }
-
-double VictimPipeline::Parked::dt() const { return setup_->ropt.dt; }
-
-BatchLane VictimPipeline::Parked::lane() {
-  BatchLane lane;
-  lane.sim = &setup_->sim;
-  lane.options = setup_->ropt;
-  lane.victim_net = static_cast<std::uint64_t>(state_->v);
-  lane.scope = scope_.get();
-  return lane;
-}
-
 std::optional<JournalRecord> VictimPipeline::run(std::size_t victim_net,
                                                  bool shed) const {
-  Outcome out = begin(victim_net, shed);
-  if (!out.parked) return std::move(out.record);
-  // Scalar completion of the parked attempt: integrate here, on this
-  // thread, exactly as the pre-batching stage would have. The integration
-  // CPU time is folded back so finding.cpu_seconds accounts for it.
-  Parked& parked = *out.parked;
-  BatchLaneResult lane;
-  ThreadCpuTimer integration_timer;
+  const VerifierOptions& options = *ctx_.options;
+  ThreadCpuTimer victim_timer;
+
+  // Wall-clock and memory budgets for everything this victim does (dense
+  // matrices, Krylov blocks, waveforms). A breach surfaces as the typed
+  // kResourceExceeded inside an attempt stage.
+  const CancelToken budget(options.cluster_deadline_ms > 0.0
+                               ? Deadline::after_seconds(
+                                     options.cluster_deadline_ms * 1e-3)
+                               : Deadline::unlimited());
+  resource::ClusterScope scope(
+      options.cluster_mem_mb > 0.0
+          ? static_cast<std::size_t>(options.cluster_mem_mb * 1024.0 * 1024.0)
+          : 0);
+
+  RunState s;
+  s.v = victim_net;
+  s.shed = shed;
+  s.vdd = ctx_.extractor->tech().vdd;
+  s.budget = &budget;
+  VictimFinding& finding = s.record.finding;
+  finding.net = victim_net;
+
   try {
-    resource::ClusterScope::Activation activation(parked.scope_.get());
-    lane.result = parked.setup_->sim.run(parked.setup_->ropt);
-  } catch (...) {
-    lane.error = std::current_exception();
+    run_machine(s);
+    if (s.ineligible) return std::nullopt;
+  } catch (const std::exception& e) {
+    // Per-cluster isolation: even a failure outside the ladder (cluster
+    // construction, screening, the bound itself) must not abort the chip
+    // sweep. The victim is reported maximally pessimistically for manual
+    // review.
+    record_first_error(finding, e);
+    finding.status = FindingStatus::kFailed;
+    finding.peak = -s.vdd;
+    finding.peak_fraction = 1.0;
+    finding.violation = true;
   }
-  parked.cpu_begin_ += integration_timer.elapsed();
-  return finish(parked, std::move(lane));
+  finding.cpu_seconds = victim_timer.elapsed();
+  return std::move(s.record);
 }
 
-PipelineStage VictimPipeline::run_machine(RunState& s, PipelineStage stage,
-                                          bool can_park) const {
+void VictimPipeline::run_machine(RunState& s) const {
+  PipelineStage stage = PipelineStage::kBuildCluster;
   while (stage != PipelineStage::kDone) {
-    // Park point: the FIRST reduced-transient attempt (and only it) may
-    // be handed to the batch scheduler. Retries (rung > 0) and
-    // certification escalations re-simulate on the scalar path.
-    if (can_park && stage == PipelineStage::kSimulateReduced && s.rung == 0 &&
-        !s.escalating)
-      return stage;
     if (ctx_.stage_trace) ctx_.stage_trace(s.v, stage);
     // Attempt stages are the ones the recovery ladder owns: a failure
     // there advances the rung (or the escalation loop) instead of
@@ -197,113 +186,8 @@ PipelineStage VictimPipeline::run_machine(RunState& s, PipelineStage stage,
       if (!attempt_stage) throw;
       stage = on_attempt_failure(s, e);
     }
-    if (s.ineligible) return PipelineStage::kDone;
+    if (s.ineligible) return;
   }
-  return PipelineStage::kDone;
-}
-
-VictimPipeline::Outcome VictimPipeline::begin(std::size_t victim_net,
-                                              bool shed) const {
-  const VerifierOptions& options = *ctx_.options;
-
-  ThreadCpuTimer victim_timer;
-  // Detach from any ambient scope so the victim's own scope nests on
-  // nothing: a parked scope outlives this call and must never point back
-  // into another victim's (or the scheduler's) accounting.
-  resource::ClusterScope* const outer =
-      resource::ClusterScope::exchange_current(nullptr);
-  struct RestoreCurrent {
-    resource::ClusterScope* outer;
-    ~RestoreCurrent() { resource::ClusterScope::exchange_current(outer); }
-  } restore{outer};
-
-  // Wall-clock and memory budgets for everything this victim does (dense
-  // matrices, Krylov blocks, waveforms, and — when parked — its batch
-  // lane). A breach surfaces as the typed kResourceExceeded inside an
-  // attempt stage.
-  auto parked = std::unique_ptr<Parked>(new Parked(
-      options.cluster_deadline_ms > 0.0
-          ? Deadline::after_seconds(options.cluster_deadline_ms * 1e-3)
-          : Deadline::unlimited(),
-      options.cluster_mem_mb > 0.0
-          ? static_cast<std::size_t>(options.cluster_mem_mb * 1024.0 * 1024.0)
-          : 0));
-  RunState& s = *parked->state_;
-  s.v = victim_net;
-  s.shed = shed;
-  s.vdd = ctx_.extractor->tech().vdd;
-  s.budget = &parked->budget_;
-  VictimFinding& finding = s.record.finding;
-  finding.net = victim_net;
-
-  Outcome out;
-  try {
-    PipelineStage stage =
-        run_machine(s, PipelineStage::kBuildCluster, /*can_park=*/true);
-    if (stage == PipelineStage::kSimulateReduced) {
-      if (ctx_.stage_trace) ctx_.stage_trace(victim_net, stage);
-      try {
-        Timer setup_timer;
-        parked->setup_.emplace(ctx_.analyzer->prepare_simulate(
-            s.victim, s.aggressors, s.prepared, s.reduced, s.attempt));
-        parked->setup_seconds_ = setup_timer.elapsed();
-        parked->cpu_begin_ = victim_timer.elapsed();
-        out.parked = std::move(parked);
-        return out;
-      } catch (const std::exception& e) {
-        // Simulator setup failures take the same ladder the monolithic
-        // simulate stage would have.
-        run_machine(s, on_attempt_failure(s, e), /*can_park=*/false);
-      }
-    }
-    if (s.ineligible) return out;  // both members empty: run()'s nullopt
-  } catch (const std::exception& e) {
-    // Per-cluster isolation: even a failure outside the ladder (cluster
-    // construction, screening, the bound itself) must not abort the chip
-    // sweep. The victim is reported maximally pessimistically for manual
-    // review.
-    record_first_error(finding, e);
-    finding.status = FindingStatus::kFailed;
-    finding.peak = -s.vdd;
-    finding.peak_fraction = 1.0;
-    finding.violation = true;
-  }
-  finding.cpu_seconds = victim_timer.elapsed();
-  out.record = std::move(s.record);
-  return out;
-}
-
-JournalRecord VictimPipeline::finish(Parked& parked,
-                                     BatchLaneResult lane) const {
-  RunState& s = *parked.state_;
-  ThreadCpuTimer victim_timer;
-  resource::ClusterScope::Activation activation(parked.scope_.get());
-  VictimFinding& finding = s.record.finding;
-  try {
-    PipelineStage stage = PipelineStage::kCertify;
-    try {
-      if (lane.error) std::rethrow_exception(lane.error);
-      GlitchResult got = ctx_.analyzer->measure_reduced(
-          *parked.setup_, lane.result, parked.setup_seconds_);
-      // The scalar stage's non-escalating acceptance, verbatim: parked
-      // victims are always first attempts (rung 0, no escalation).
-      s.res = std::move(got);
-      s.have_sim = true;
-      finding.status = FindingStatus::kAnalyzed;
-      s.mor_used = s.attempt;
-    } catch (const std::exception& e) {
-      stage = on_attempt_failure(s, e);
-    }
-    run_machine(s, stage, /*can_park=*/false);
-  } catch (const std::exception& e) {
-    record_first_error(finding, e);
-    finding.status = FindingStatus::kFailed;
-    finding.peak = -s.vdd;
-    finding.peak_fraction = 1.0;
-    finding.violation = true;
-  }
-  finding.cpu_seconds = parked.cpu_begin_ + victim_timer.elapsed();
-  return std::move(s.record);
 }
 
 PipelineStage VictimPipeline::step(RunState& s, PipelineStage stage) const {

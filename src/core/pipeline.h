@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -34,7 +33,6 @@
 #include "core/journal.h"
 #include "core/pruning.h"
 #include "core/verifier.h"
-#include "mor/batch_sim.h"
 #include "mor/model_cache.h"
 #include "util/deadline.h"
 #include "util/resource.h"
@@ -86,71 +84,9 @@ struct PipelineContext {
 
 /// Drives one victim at a time through the stages. Stateless between
 /// run() calls — safe to share across worker threads.
-///
-/// Batch scheduling (DESIGN.md §16): begin() runs the machine up to the
-/// victim's FIRST reduced-transient attempt and parks it there with a
-/// fully configured simulator; the scheduler groups compatible parked
-/// victims into lockstep batches (mor/batch_sim.h) and feeds each lane's
-/// integration result back through finish(), which resumes the identical
-/// state machine (measurement, certification, escalation, audit, the
-/// retry ladder). run() is begin() + a scalar integration + finish(), so
-/// batched and scalar runs share one code path for every decision that
-/// shapes a finding.
 class VictimPipeline {
- private:
-  struct RunState;
-
  public:
   explicit VictimPipeline(PipelineContext ctx);
-
-  /// A victim parked at its first SimulateReduced attempt. Owns the
-  /// victim's memory scope (detached from the calling thread while
-  /// parked), wall-clock budget, run state, and configured simulator;
-  /// opaque beyond the grouping keys the batch scheduler needs. Destroy
-  /// only after finish() (or never calling it — abandonment is safe).
-  class Parked {
-   public:
-    ~Parked();
-    Parked(const Parked&) = delete;
-    Parked& operator=(const Parked&) = delete;
-
-    std::size_t victim_net() const;
-
-    /// Batch grouping keys: lanes may integrate in lockstep only when
-    /// the reduced order, driver-model class, and timestep policy agree
-    /// (the lockstep engine shares per-round scratch sized by these).
-    std::size_t order() const;
-    DriverModelKind driver_model() const;
-    double tstop() const;
-    double dt() const;
-
-    /// The lane handed to run_batch(); views into this object, which
-    /// must stay alive (and unfinished) until the batch returns.
-    BatchLane lane();
-
-   private:
-    friend class VictimPipeline;
-    Parked(Deadline deadline, std::size_t mem_limit_bytes);
-
-    // Scope first: destroyed last, after every memory charge held by the
-    // simulator/state below has been released back to it.
-    std::unique_ptr<resource::ClusterScope> scope_;
-    CancelToken budget_;
-    std::unique_ptr<RunState> state_;
-    std::optional<GlitchAnalyzer::SimulateSetup> setup_;
-    double setup_seconds_ = 0.0;  ///< prepare_simulate() wall seconds
-    double cpu_begin_ = 0.0;      ///< CPU seconds begin() consumed
-  };
-
-  /// Result of begin(): at most one member is set. `record` — the victim
-  /// completed without a batchable attempt (screened, ineligible-adjacent
-  /// failures, bounds). `parked` — it waits for a batch slot. Both empty
-  /// — the victim is ineligible (no retained aggressor), exactly run()'s
-  /// nullopt.
-  struct Outcome {
-    std::optional<JournalRecord> record;
-    std::unique_ptr<Parked> parked;
-  };
 
   /// Full analysis of one victim cluster under the context's options.
   /// `shed` marks a victim refused admission by the memory governor (it
@@ -159,22 +95,10 @@ class VictimPipeline {
   /// aggressor survives the window/correlation filters).
   std::optional<JournalRecord> run(std::size_t victim_net, bool shed) const;
 
-  /// Batch-scheduling entry point: runs the machine until the victim
-  /// completes or reaches its FIRST reduced-transient attempt (rung 0,
-  /// not escalating), where it parks. Retry rungs, certification
-  /// escalations, and full-sim fallbacks never park — finish() resumes
-  /// them on the scalar path, so every FindingStatus and ladder
-  /// transition is decided by exactly the code a scalar run uses.
-  Outcome begin(std::size_t victim_net, bool shed) const;
-
-  /// Completes a parked victim from its integration result (or error):
-  /// measurement, certification, escalation, audit, and the retry ladder
-  /// all resume here. Pairs with exactly one begin() that parked.
-  JournalRecord finish(Parked& parked, BatchLaneResult lane) const;
-
  private:
-  PipelineStage run_machine(RunState& s, PipelineStage stage,
-                            bool can_park) const;
+  struct RunState;
+
+  void run_machine(RunState& s) const;
   PipelineStage step(RunState& s, PipelineStage stage) const;
   PipelineStage on_attempt_failure(RunState& s, const std::exception& e) const;
 

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -13,7 +12,6 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
-#include <tuple>
 
 #include "core/journal.h"
 #include "core/pipeline.h"
@@ -101,8 +99,7 @@ std::uint64_t options_result_hash(const VerifierOptions& o) {
   h.f64(o.audit_time_tol);
   // Canonical caching changes which payload serves a victim (certified-
   // equivalent, not bit-identical), so both knobs are result-affecting.
-  // Appended at the end to keep the field order stable for older fields;
-  // batch_width is deliberately absent — like threads, it only schedules.
+  // Appended at the end to keep the field order stable for older fields.
   h.u64(o.canonical_cache ? 1 : 0);
   h.f64(o.canonical_cache_tol);
   return h.h;
@@ -334,29 +331,6 @@ JournalRecord failed_record(std::size_t victim, double vdd,
 
 }  // namespace
 
-struct ChipVerifier::Prepared::BeginOutcome {
-  std::optional<JournalRecord> record;
-  std::unique_ptr<ParkedVictim> parked;
-};
-
-/// Thin ownership wrapper over the pipeline's parked state: keeps the
-/// victim id next to it so finish-side fault injection and the kFailed
-/// envelope key on the right victim.
-class ChipVerifier::Prepared::ParkedVictim {
- public:
-  std::size_t victim_net() const { return victim_; }
-  std::size_t order() const { return parked_->order(); }
-  DriverModelKind driver_model() const { return parked_->driver_model(); }
-  double tstop() const { return parked_->tstop(); }
-  double dt() const { return parked_->dt(); }
-  BatchLane lane() { return parked_->lane(); }
-
- private:
-  friend class ChipVerifier::Prepared;
-  std::size_t victim_ = 0;
-  std::unique_ptr<VictimPipeline::Parked> parked_;
-};
-
 std::optional<JournalRecord> ChipVerifier::Prepared::analyze(
     std::size_t victim, bool bound_only) {
   // Injection decisions inside this task are keyed on the victim id, so
@@ -374,40 +348,6 @@ std::optional<JournalRecord> ChipVerifier::Prepared::analyze(
     return impl_->pipeline->run(victim, shed);
   } catch (const std::exception& e) {
     return failed_record(victim, impl_->vdd, e);
-  }
-}
-
-ChipVerifier::Prepared::BeginOutcome ChipVerifier::Prepared::analyze_begin(
-    std::size_t victim) {
-  FaultInjector::ScopedVictim victim_ctx(victim);
-  BeginOutcome out;
-  try {
-    if (XTV_INJECT_FAULT(FaultSite::kVictimTask))
-      throw std::runtime_error(
-          "ChipVerifier: injected worker-task fault outside the ladder");
-    const bool shed = resource::MemoryGovernor::instance().under_pressure() &&
-                      impl_->footprint(victim) >= impl_->shed_threshold;
-    VictimPipeline::Outcome po = impl_->pipeline->begin(victim, shed);
-    if (po.parked) {
-      out.parked = std::unique_ptr<ParkedVictim>(new ParkedVictim);
-      out.parked->victim_ = victim;
-      out.parked->parked_ = std::move(po.parked);
-    } else {
-      out.record = std::move(po.record);  // may stay empty: ineligible
-    }
-  } catch (const std::exception& e) {
-    out.record = failed_record(victim, impl_->vdd, e);
-  }
-  return out;
-}
-
-JournalRecord ChipVerifier::Prepared::analyze_finish(ParkedVictim& parked,
-                                                     BatchLaneResult lane) {
-  FaultInjector::ScopedVictim victim_ctx(parked.victim_);
-  try {
-    return impl_->pipeline->finish(*parked.parked_, std::move(lane));
-  } catch (const std::exception& e) {
-    return failed_record(parked.victim_, impl_->vdd, e);
   }
 }
 
@@ -469,19 +409,6 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
     logf(LogLevel::kWarn,
          "ChipVerifier: processes > 0 requires max_victims == 0; "
          "falling back to the in-process path");
-
-  // Lockstep batching (DESIGN.md §16) applies only to the in-process
-  // paths: shard and remote workers run their victims serially anyway,
-  // and max_victims is defined by one-at-a-time serial outcomes.
-  const bool batch_capable =
-      !use_processes && !use_remote && options.max_victims == 0;
-  const std::size_t batch_width =
-      batch_capable ? std::max<std::size_t>(std::size_t{1}, options.batch_width)
-                    : 1;
-  if (options.batch_width > 1 && batch_width <= 1)
-    logf(LogLevel::kWarn,
-         "ChipVerifier: batch_width > 1 requires the in-process path with "
-         "max_victims == 0; integrating victims on the scalar engine");
 
   // Resume: intact journal records stand in for re-analysis; the journal
   // itself is truncated past its intact prefix so fresh appends follow.
@@ -573,61 +500,6 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
   };
   auto run_one = [&](std::size_t v) { emit(v, prep.analyze(v, false)); };
 
-  // Batch scheduler (batch_width > 1): begins every victim of a chunk,
-  // groups the parked ones into compatible lockstep lanes, integrates
-  // them together, and finishes each through the identical state
-  // machine. Records are emitted in the chunk's original (net) order, so
-  // journal append order matches the scalar serial sweep.
-  std::atomic<std::size_t> batched_victims{0};
-  std::atomic<std::size_t> batch_lane_fallbacks{0};
-  auto run_batch_chunk = [&](const std::size_t* chunk, std::size_t n) {
-    struct Pending {
-      std::size_t v = 0;
-      std::optional<JournalRecord> record;
-      std::unique_ptr<ChipVerifier::Prepared::ParkedVictim> parked;
-    };
-    std::vector<Pending> pending(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      pending[i].v = chunk[i];
-      Prepared::BeginOutcome bo = prep.analyze_begin(chunk[i]);
-      pending[i].record = std::move(bo.record);
-      pending[i].parked = std::move(bo.parked);
-    }
-    // Lanes may share a lockstep round only when the reduced order,
-    // driver-model class, and timestep policy agree.
-    std::map<std::tuple<std::size_t, int, double, double>,
-             std::vector<std::size_t>>
-        groups;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!pending[i].parked) continue;
-      const auto& p = *pending[i].parked;
-      groups[{p.order(), static_cast<int>(p.driver_model()), p.tstop(),
-              p.dt()}]
-          .push_back(i);
-    }
-    for (auto& [key, members] : groups) {
-      for (std::size_t at = 0; at < members.size(); at += batch_width) {
-        const std::size_t width = std::min(batch_width, members.size() - at);
-        std::vector<BatchLane> lanes;
-        lanes.reserve(width);
-        for (std::size_t k = 0; k < width; ++k)
-          lanes.push_back(pending[members[at + k]].parked->lane());
-        std::vector<BatchLaneResult> results = run_batch(lanes);
-        for (std::size_t k = 0; k < width; ++k) {
-          Pending& p = pending[members[at + k]];
-          ++batched_victims;
-          if (results[k].fell_back_scalar) ++batch_lane_fallbacks;
-          p.record = prep.analyze_finish(*p.parked, std::move(results[k]));
-          p.parked.reset();
-        }
-      }
-    }
-    for (Pending& p : pending) emit(p.v, std::move(p.record));
-  };
-  // Chunk size: wide enough that heterogeneous victims still fill lanes,
-  // small enough that journal-append latency stays bounded.
-  const std::size_t batch_chunk = batch_width * 4;
-
   // RSS watchdog for the duration of the sweep (no-op when disabled).
   // Process mode must keep the parent single-threaded until the workers
   // are forked (fork duplicates only the calling thread), so there each
@@ -691,25 +563,19 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
     report.shard_restarts = shard_stats.shard_restarts;
     report.victims_quarantined = shard_stats.victims_quarantined;
   } else if (options.threads <= 1 || options.max_victims > 0) {
-    if (batch_width > 1) {
-      for (std::size_t i = 0; i < work.size(); i += batch_chunk)
-        run_batch_chunk(work.data() + i,
-                        std::min(batch_chunk, work.size() - i));
-    } else {
-      // max_victims caps *analyzed* victims, which only a serial sweep
-      // can define deterministically (the cap depends on each prior
-      // victim's outcome) — bounded debug runs stay single-threaded.
-      std::size_t analyzed = 0;
-      for (const auto& [v, rec] : journaled)
-        if (!rec.screened && counts_as_analyzed(rec.finding.status)) ++analyzed;
-      for (std::size_t v : work) {
-        if (options.max_victims > 0 && analyzed >= options.max_victims) break;
-        run_one(v);
-        const auto it = fresh.find(v);
-        if (it != fresh.end() && !it->second.screened &&
-            counts_as_analyzed(it->second.finding.status))
-          ++analyzed;
-      }
+    // max_victims caps *analyzed* victims, which only a serial sweep
+    // can define deterministically (the cap depends on each prior
+    // victim's outcome) — bounded debug runs stay single-threaded.
+    std::size_t analyzed = 0;
+    for (const auto& [v, rec] : journaled)
+      if (!rec.screened && counts_as_analyzed(rec.finding.status)) ++analyzed;
+    for (std::size_t v : work) {
+      if (options.max_victims > 0 && analyzed >= options.max_victims) break;
+      run_one(v);
+      const auto it = fresh.find(v);
+      if (it != fresh.end() && !it->second.screened &&
+          counts_as_analyzed(it->second.finding.status))
+        ++analyzed;
     }
   } else {
     // Smallest clusters first: when pressure arises mid-run, what remains
@@ -720,21 +586,8 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
       return prep.footprint(a) < prep.footprint(b);
     });
     ThreadPool pool(options.threads);
-    if (batch_width > 1) {
-      const std::size_t n_chunks =
-          (work.size() + batch_chunk - 1) / batch_chunk;
-      pool.parallel_for(n_chunks, [&](std::size_t c) {
-        const std::size_t at = c * batch_chunk;
-        run_batch_chunk(work.data() + at,
-                        std::min(batch_chunk, work.size() - at));
-      });
-    } else {
-      pool.parallel_for(work.size(),
-                        [&](std::size_t i) { run_one(work[i]); });
-    }
+    pool.parallel_for(work.size(), [&](std::size_t i) { run_one(work[i]); });
   }
-  report.batched_victims = batched_victims.load();
-  report.batch_lane_fallbacks = batch_lane_fallbacks.load();
   if (journal) journal->flush();
 
   // Merge in candidate order: journaled and fresh results interleave into
@@ -892,13 +745,6 @@ std::string VerificationReport::to_string() const {
                   "canonical cache: %zu certified tolerant reuse(s), "
                   "%zu candidate(s) rejected by re-certification\n",
                   canonical_hits, canonical_cert_rejects);
-    out << buf;
-  }
-  if (batched_victims > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "batched: %zu victims integrated in lockstep lanes, "
-                  "%zu lane(s) fell back to the scalar engine\n",
-                  batched_victims, batch_lane_fallbacks);
     out << buf;
   }
   if (victims_audited > 0) {

@@ -17,7 +17,6 @@
 #include "chipgen/dsp_chip.h"
 #include "core/glitch_analyzer.h"
 #include "core/pruning.h"
-#include "mor/batch_sim.h"
 #include "util/status.h"
 
 namespace xtv {
@@ -74,18 +73,6 @@ struct VerifierOptions {
   /// reproduces the serial report. max_victims > 0 forces serial
   /// execution: the cap is defined by serial analysis order.
   std::size_t threads = 1;
-  /// Lockstep batch width for the reduced-transient stage (<= 1 =
-  /// scalar, the default). Victims reaching their first reduced
-  /// transient are parked, grouped by (reduced order, driver-model
-  /// class, timestep policy), and integrated together in
-  /// structure-of-arrays lanes (mor/batch_sim.h, DESIGN.md §16).
-  /// Per-lane convergence, deadline polling, and scalar fallback keep
-  /// every FindingStatus and retry-ladder decision identical to a
-  /// scalar run, and a clean batched run's findings are bit-identical
-  /// to the serial ones. Pure scheduling knob like `threads` (NOT part
-  /// of options_result_hash); ignored (scalar) under max_victims,
-  /// process shards, and remote fan-out.
-  std::size_t batch_width = 1;
   /// Per-cluster wall-clock budget (ms; 0 = unlimited). A cluster that
   /// exhausts it mid-simulation is cancelled cooperatively and reported
   /// through the conservative Devgan bound as FindingStatus::kDeadlineBound
@@ -365,9 +352,11 @@ struct VerificationReport {
   /// Canonical-cache accounting (canonical_cache runs).
   std::size_t canonical_hits = 0;          ///< certified tolerant reuses
   std::size_t canonical_cert_rejects = 0;  ///< tolerant hits failing re-cert
-  /// Batched-execution accounting (batch_width > 1 runs).
-  std::size_t batched_victims = 0;       ///< victims integrated in batch lanes
-  std::size_t batch_lane_fallbacks = 0;  ///< lanes rerouted to the scalar engine
+  /// Retired lockstep-batching counters: always 0 (every victim runs the
+  /// one ReducedSimulator). Kept only because the repository benchmark
+  /// reads them; they go with its next change.
+  std::size_t batched_victims = 0;
+  std::size_t batch_lane_fallbacks = 0;
   /// Summed per-victim compute time across all workers. Under N threads
   /// this exceeds wall_seconds by up to a factor of N; the ratio is the
   /// realized parallel efficiency.
@@ -445,29 +434,6 @@ class ChipVerifier::Prepared {
   /// never throws — any escaping failure becomes a kFailed record with
   /// peak pessimistically at Vdd.
   std::optional<JournalRecord> analyze(std::size_t victim, bool bound_only);
-
-  /// A victim parked at its first reduced-transient attempt, waiting
-  /// for a batch slot (opaque; defined in verifier.cpp). Exposes the
-  /// lockstep grouping keys and its BatchLane to the scheduler.
-  class ParkedVictim;
-
-  /// Result of analyze_begin(): at most one of {record, parked} is set;
-  /// both empty means the victim was ineligible (analyze()'s nullopt).
-  /// Defined in verifier.cpp (JournalRecord is incomplete here — the
-  /// journal header includes this one).
-  struct BeginOutcome;
-
-  /// First half of analyze() for the batch scheduler (DESIGN.md §16):
-  /// runs the victim to completion or parks it at its first reduced-
-  /// transient attempt. Same injection keying, shedding, and kFailed
-  /// envelope as analyze().
-  BeginOutcome analyze_begin(std::size_t victim);
-
-  /// Second half: completes a parked victim from its batch-lane
-  /// integration result (or error). Never throws — failures become the
-  /// kFailed envelope analyze() produces. Pairs with exactly one
-  /// analyze_begin() that parked.
-  JournalRecord analyze_finish(ParkedVictim& parked, BatchLaneResult lane);
 
   /// The last-resort pessimistic record (peak = Vdd, kShardCrashed /
   /// kWorkerCrashed) for a victim whose concession analysis itself died.

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "linalg/dense_lu.h"
 #include "linalg/sym_eigen.h"
@@ -65,132 +68,134 @@ void ReducedSimulator::clear() {
   terminations_.clear();
 }
 
-Vector ReducedSimulator::input_currents(double t) const {
-  Vector u(port_count(), 0.0);
-  for (const auto& [port, wave] : inputs_) u[port] += wave.value(t);
-  return u;
+void ReducedSimulator::bind_configuration() {
+  const std::size_t q = order();
+  input_list_.clear();
+  for (const auto& [port, wave] : inputs_) input_list_.emplace_back(port, &wave);
+  nl_ports_.clear();
+  nl_devs_.clear();
+  for (const auto& [port, dev] : terminations_) {
+    nl_ports_.push_back(port);
+    nl_devs_.push_back(dev.get());
+  }
+  const std::size_t m = nl_ports_.size();
+  u_cols_.assign(q * m, 0.0);
+  for (std::size_t i = 0; i < q; ++i)
+    for (std::size_t k = 0; k < m; ++k) u_cols_[i * m + k] = eta_(i, nl_ports_[k]);
+  alpha_valid_ = false;
+}
+
+void ReducedSimulator::set_alpha(double alpha) {
+  if (alpha_valid_ && alpha == alpha_cached_) return;
+  const std::size_t q = order();
+  const std::size_t m = nl_ports_.size();
+  dd_inv_.assign(q, 0.0);
+  for (std::size_t i = 0; i < q; ++i) dd_inv_[i] = 1.0 / (1.0 + alpha * d_[i]);
+  s_alpha_.assign(m * m, 0.0);
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < q; ++i)
+        acc += u_cols_[i * m + a] * dd_inv_[i] * u_cols_[i * m + b];
+      s_alpha_[a * m + b] = acc;
+    }
+  }
+  alpha_cached_ = alpha;
+  alpha_valid_ = true;
 }
 
 bool ReducedSimulator::newton_solve(Vector& x, double t, double alpha,
-                                    const Vector& d_beta,
-                                    const ReducedSimOptions& options,
-                                    std::size_t& iterations) const {
+                                    const Vector& d_beta, int max_newton,
+                                    double v_abstol,
+                                    std::size_t& iterations) {
   const std::size_t q = order();
   const std::size_t p = port_count();
+  const std::size_t m = nl_ports_.size();
+  Scratch& sc = scratch_;
 
-  // Diagonal part Dd = I + alpha * D. Scratch buffers are reused across
-  // calls (workspace doctrine: every extent is fully written before use).
-  Vector& dd_inv = scratch_.dd_inv;
-  dd_inv.assign(q, 0.0);
-  for (std::size_t i = 0; i < q; ++i) dd_inv[i] = 1.0 / (1.0 + alpha * d_[i]);
+  set_alpha(alpha);
+  const Vector& dd_inv = dd_inv_;
 
-  // Nonlinear port list (fixed across iterations).
-  std::vector<std::size_t>& nl_ports = scratch_.nl_ports;
-  nl_ports.clear();
-  nl_ports.reserve(terminations_.size());
-  for (const auto& [port, dev] : terminations_) {
-    (void)dev;
-    nl_ports.push_back(port);
-  }
-  const std::size_t m = nl_ports.size();
-
-  const Vector u = input_currents(t);
+  // Known (linear) port injections at t, fixed across iterations.
+  sc.u.assign(p, 0.0);
+  for (const auto& [port, wave] : input_list_) sc.u[port] += wave->value(t);
 
   // Checked only on the converged path: a diverging iterate may overflow
   // transiently and still be rescued by a halved step, but a "converged"
   // solution with invalid/overflow evidence in the FP flags is poison.
   FpKernelGuard fp("reduced_newton");
-  for (int iter = 0; iter < options.max_newton; ++iter) {
+  for (int iter = 0; iter < max_newton; ++iter) {
     ++iterations;
     fp.rearm();
     // Port voltages and total currents at the trial point.
-    Vector& vports = scratch_.vports;
-    matvec_transposed_into(eta_, x, vports);
-    Vector& itotal = scratch_.itotal;
-    itotal = u;
-    Vector& g = scratch_.g;
-    g.assign(m, 0.0);
+    matvec_transposed_into(eta_, x, sc.vports);
+    sc.itotal = sc.u;
+    sc.g.assign(m, 0.0);
     for (std::size_t k = 0; k < m; ++k) {
-      const auto port = nl_ports[k];
-      const auto& dev = terminations_.at(port);
-      itotal[port] += dev->current(vports[port], t);
-      g[k] = dev->conductance(vports[port], t);
+      const std::size_t port = nl_ports_[k];
+      sc.itotal[port] += nl_devs_[k]->current(sc.vports[port], t);
+      sc.g[k] = nl_devs_[k]->conductance(sc.vports[port], t);
     }
 
-    // Residual F = (I + alpha D) x + D beta - eta * itotal.
-    Vector& eta_i = scratch_.eta_i;
-    matvec_into(eta_, itotal, eta_i);
-    Vector& r = scratch_.r;  // r = -F (the Newton RHS)
-    r.assign(q, 0.0);
+    // Residual F = (I + alpha D) x + D beta - eta * itotal; r = -F is the
+    // Newton RHS.
+    matvec_into(eta_, sc.itotal, sc.eta_i);
+    sc.r.assign(q, 0.0);
     for (std::size_t i = 0; i < q; ++i)
-      r[i] = eta_i[i] - ((1.0 + alpha * d_[i]) * x[i] + d_beta[i]);
+      sc.r[i] = sc.eta_i[i] - ((1.0 + alpha * d_[i]) * x[i] + d_beta[i]);
 
     // Solve (Dd - U G U^T) dx = r with U = eta columns of the nonlinear
-    // ports, via the m x m Woodbury system (I_m - S G) w = U^T Dd^{-1} r,
-    // S = U^T Dd^{-1} U; then dx = Dd^{-1}(r + U G w).
-    Vector& dx = scratch_.dx;
-    dx.assign(q, 0.0);
+    // ports, via the m x m Woodbury system (I_m - S G) w = U^T Dd^{-1} r;
+    // then dx = Dd^{-1}(r + U G w).
+    sc.dx.assign(q, 0.0);
     if (m == 0) {
-      for (std::size_t i = 0; i < q; ++i) dx[i] = dd_inv[i] * r[i];
+      for (std::size_t i = 0; i < q; ++i) sc.dx[i] = dd_inv[i] * sc.r[i];
     } else {
-      DenseMatrix s(m, m);
-      Vector& srhs = scratch_.srhs;
-      srhs.assign(m, 0.0);
-      for (std::size_t a = 0; a < m; ++a) {
+      // The m x m pieces live in reused scratch and are factored in place
+      // by DenseLu's kernel, but each keeps the memory charge of the
+      // matrix it stands for (S, the system, and the LU factor's copy),
+      // so a marginal cluster budget breaches at the same point with the
+      // same message as a per-iteration allocation.
+      const std::size_t mat_bytes = m * m * sizeof(double);
+      resource::MemCharge charge_s(mat_bytes);
+      sc.srhs.assign(m, 0.0);
+      for (std::size_t a = 0; a < m; ++a)
         for (std::size_t i = 0; i < q; ++i)
-          srhs[a] += eta_(i, nl_ports[a]) * dd_inv[i] * r[i];
-        for (std::size_t b = 0; b < m; ++b) {
-          double acc = 0.0;
-          for (std::size_t i = 0; i < q; ++i)
-            acc += eta_(i, nl_ports[a]) * dd_inv[i] * eta_(i, nl_ports[b]);
-          s(a, b) = acc;
-        }
-      }
-      DenseMatrix msys(m, m);
+          sc.srhs[a] += u_cols_[i * m + a] * dd_inv[i] * sc.r[i];
+      resource::MemCharge charge_msys(mat_bytes);
+      sc.msys.assign(m * m, 0.0);
       for (std::size_t a = 0; a < m; ++a)
         for (std::size_t b = 0; b < m; ++b)
-          msys(a, b) = (a == b ? 1.0 : 0.0) - s(a, b) * g[b];
-      const Vector w = DenseLu(msys).solve(srhs);
-      Vector& rgw = scratch_.rgw;
-      rgw = r;
+          sc.msys[a * m + b] =
+              (a == b ? 1.0 : 0.0) - s_alpha_[a * m + b] * sc.g[b];
+      resource::MemCharge charge_lu(mat_bytes);
+      lu_factor_inplace(sc.msys.data(), m, sc.perm);
+      lu_solve_inplace(sc.msys.data(), sc.perm.data(), m, sc.srhs, sc.w);
+      sc.rgw = sc.r;
       for (std::size_t k = 0; k < m; ++k)
         for (std::size_t i = 0; i < q; ++i)
-          rgw[i] += eta_(i, nl_ports[k]) * g[k] * w[k];
-      for (std::size_t i = 0; i < q; ++i) dx[i] = dd_inv[i] * rgw[i];
+          sc.rgw[i] += u_cols_[i * m + k] * sc.g[k] * sc.w[k];
+      for (std::size_t i = 0; i < q; ++i) sc.dx[i] = dd_inv[i] * sc.rgw[i];
     }
 
-    for (std::size_t i = 0; i < q; ++i) x[i] += dx[i];
+    for (std::size_t i = 0; i < q; ++i) x[i] += sc.dx[i];
 
     // Converged when the port-voltage change is negligible. A NaN dv must
     // not count as converged (fabs(NaN) > tol is false), so finiteness is
     // part of the convergence predicate.
     double max_dv = 0.0;
     bool finite = true;
-    Vector& dv = scratch_.dv;
-    matvec_transposed_into(eta_, dx, dv);
+    matvec_transposed_into(eta_, sc.dx, sc.dv);
     for (std::size_t pp = 0; pp < p; ++pp) {
-      finite = finite && std::isfinite(dv[pp]);
-      max_dv = std::max(max_dv, std::fabs(dv[pp]));
+      finite = finite && std::isfinite(sc.dv[pp]);
+      max_dv = std::max(max_dv, std::fabs(sc.dv[pp]));
     }
-    if (finite && max_dv < options.v_abstol) {
+    if (finite && max_dv < v_abstol) {
       fp.check();
       return true;
     }
   }
   return false;
-}
-
-Vector ReducedSimulator::dc_port_voltages() {
-  const std::size_t q = order();
-  Vector x(q, 0.0);
-  Vector zero(q, 0.0);
-  ReducedSimOptions opts;
-  opts.max_newton = 200;
-  std::size_t iters = 0;
-  if (!newton_solve(x, 0.0, 0.0, zero, opts, iters))
-    throw NumericalError(StatusCode::kNewtonDivergence,
-                         "ReducedSimulator: DC fixed point failed");
-  return matvec_transposed(eta_, x);
 }
 
 ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
@@ -203,6 +208,7 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
   const double dt = options.dt > 0.0 ? options.dt : options.tstop / 2000.0;
   const std::size_t q = order();
   const std::size_t p = port_count();
+  bind_configuration();
 
   // Charge the expected waveform storage (2 doubles per sample per port)
   // up front, so an over-budget transient fails before the time loop runs
@@ -213,12 +219,11 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
 
   // DC start.
   Vector x(q, 0.0);
+  Vector d_beta(q, 0.0);
   {
-    Vector zero(q, 0.0);
-    ReducedSimOptions dc_opts = options;
-    dc_opts.max_newton = 200;
     std::size_t iters = 0;
-    if (!newton_solve(x, 0.0, 0.0, zero, dc_opts, iters))
+    if (!newton_solve(x, 0.0, 0.0, d_beta, /*max_newton=*/200,
+                      options.v_abstol, iters))
       throw NumericalError(StatusCode::kNewtonDivergence,
                            "ReducedSimulator: DC fixed point failed");
   }
@@ -237,7 +242,7 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
   record(0.0);
 
   double t = 0.0;
-  Vector d_beta(q);
+  Vector trial(q);
   Vector x_acc_prev(q, 0.0);  // previous accepted state (LTE proxy)
   double h_prev = 0.0;
   bool have_prev = false;
@@ -253,9 +258,10 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
             options.trapezoidal ? (-a * x[i] - xdot[i]) : (-a * x[i]);
         d_beta[i] = d_[i] * beta;
       }
-      Vector trial = x;
+      trial = x;
       std::size_t iters = 0;
-      const bool ok = newton_solve(trial, t + h, a, d_beta, options, iters);
+      const bool ok = newton_solve(trial, t + h, a, d_beta, options.max_newton,
+                                   options.v_abstol, iters);
       result.newton_iterations += iters;
 
       // Step-size rejection on local-truncation blowup: second-difference

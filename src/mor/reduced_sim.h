@@ -18,6 +18,8 @@
 
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "mor/sympvl.h"
 #include "netlist/circuit.h"
@@ -92,50 +94,58 @@ class ReducedSimulator {
   /// Removes all inputs and terminations.
   void clear();
 
-  /// Solves the DC fixed point x = eta * i(V_x, 0) and returns the port
-  /// voltages (used for initial conditions and sanity checks).
-  Vector dc_port_voltages();
-
-  /// Runs the transient from the DC point.
+  /// Runs the transient from the DC point (the t = 0 sample of every
+  /// port waveform is the DC fixed point x = eta * i(V_x, 0)).
   ReducedSimResult run(const ReducedSimOptions& options);
 
   std::size_t port_count() const { return eta_.cols(); }
   std::size_t order() const { return d_.size(); }
 
-  /// Read access for the lockstep batch engine (mor/batch_sim.{h,cpp}),
-  /// which flattens the configuration into structure-of-arrays lanes and
-  /// must replicate run()'s arithmetic on exactly this data.
-  const Vector& eigenvalues() const { return d_; }
-  const DenseMatrix& port_modes() const { return eta_; }
-  const std::map<std::size_t, SourceWave>& inputs() const { return inputs_; }
-  const std::map<std::size_t, std::shared_ptr<const OnePortDevice>>&
-  terminations() const {
-    return terminations_;
-  }
-
  private:
-  /// Total known (linear) current injections at time t, per port.
-  Vector input_currents(double t) const;
+  /// Flattens the input/termination maps into the per-run arrays below
+  /// and invalidates the per-alpha cache.
+  void bind_configuration();
+
+  /// Refreshes Dd^{-1} = (I + alpha D)^{-1} and S = U^T Dd^{-1} U when
+  /// alpha differs from the cached value.
+  void set_alpha(double alpha);
 
   /// One Newton solve of (I + alpha D) x + D beta = eta * i_total(V_x, t).
   /// Returns true on convergence; x updated in place.
   bool newton_solve(Vector& x, double t, double alpha, const Vector& d_beta,
-                    const ReducedSimOptions& options, std::size_t& iterations) const;
+                    int max_newton, double v_abstol, std::size_t& iterations);
 
   Vector d_;           ///< eigenvalues of T (ascending, >= 0 up to round-off)
   DenseMatrix eta_;    ///< Q * rho  (q x p)
   std::map<std::size_t, SourceWave> inputs_;
   std::map<std::size_t, std::shared_ptr<const OnePortDevice>> terminations_;
 
-  /// Newton/recording scratch reused across iterations, steps, and runs
-  /// (mutable: newton_solve is logically const). Buffers are assign()ed to
-  /// their full extent before use, so reuse cannot change any value.
+  /// The configuration flattened once per run: the maps walked into
+  /// arrays the inner loops index directly.
+  std::vector<std::pair<std::size_t, const SourceWave*>> input_list_;
+  std::vector<std::size_t> nl_ports_;
+  std::vector<const OnePortDevice*> nl_devs_;
+  /// eta's nonlinear-port columns packed q x m row-major (U), so the
+  /// Woodbury loops read them contiguously. Pure copies: every
+  /// accumulation sees the same values in the same order.
+  Vector u_cols_;
+  /// Per-alpha Woodbury pieces. Dd^{-1} and S = U^T Dd^{-1} U depend only
+  /// on alpha and the fixed (d, eta, ports), not on the Newton iterate,
+  /// so they are rebuilt only when alpha changes (the DC solve's alpha = 0,
+  /// the first step, a halved or shortened step).
+  Vector dd_inv_, s_alpha_;
+  double alpha_cached_ = 0.0;
+  bool alpha_valid_ = false;
+
+  /// Newton/recording scratch reused across iterations, steps, and runs.
+  /// Buffers are assign()ed to their full extent before use, so reuse
+  /// cannot change any value.
   struct Scratch {
-    Vector dd_inv, vports, itotal, g, eta_i, r, dx, srhs, rgw, dv;
+    Vector u, vports, itotal, g, eta_i, r, dx, srhs, rgw, dv, msys, w;
     Vector rec, lte_vt, lte_vc, lte_vp;
-    std::vector<std::size_t> nl_ports;
+    std::vector<std::size_t> perm;
   };
-  mutable Scratch scratch_;
+  Scratch scratch_;
 };
 
 }  // namespace xtv

@@ -780,8 +780,6 @@ int ServeDaemon::runner_main(const Job& job, int write_fd) {
   // SIGKILLed runner resume from its shard journals.
   if (vo.processes == 0)
     vo.processes = std::max<std::size_t>(1, opt_.default_processes);
-  if (vo.batch_width == 0)
-    vo.batch_width = std::max<std::size_t>(1, opt_.default_batch_width);
   vo.threads = 1;
   vo.journal_path = paths.journal;
   vo.resume = true;  // journal ctor creates a fresh journal when absent

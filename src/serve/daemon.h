@@ -96,7 +96,6 @@ struct DaemonOptions {
   std::size_t queue_capacity = 8;   ///< bounded admission queue
   std::size_t max_running = 1;      ///< concurrent job runners
   std::size_t default_processes = 2;  ///< shard workers when spec says 0
-  std::size_t default_batch_width = 1;  ///< lockstep lanes when spec says 0
   double default_deadline_ms = 0.0;   ///< per-attempt wall clock (0 = off)
   long default_retries = 2;           ///< attempts after the first
   BackoffPolicy backoff;

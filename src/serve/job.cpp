@@ -189,9 +189,6 @@ bool JobSpec::parse(const std::string& text, JobSpec* spec,
     } else if (k == "restarts") {
       if (!parse_size_text(v, &z)) return bad("an integer >= 0");
       out.restarts = z;
-    } else if (k == "batch_width") {
-      if (!parse_size_text(v, &z)) return bad("an integer >= 0");
-      out.batch_width = z;
     } else if (k == "deadline_ms") {
       if (!parse_double_text(v, &d)) return bad("a value in ms");
       out.deadline_ms = d;
@@ -312,7 +309,6 @@ std::string JobSpec::to_text() const {
       << " processes=" << processes
       << " heartbeat_ms=" << fmt_double(heartbeat_ms)
       << " restarts=" << restarts
-      << " batch_width=" << batch_width
       << " deadline_ms=" << fmt_double(deadline_ms)
       << " retries=" << retries;
   return out.str();
@@ -323,7 +319,6 @@ VerifierOptions JobSpec::to_options() const {
   vo.processes = processes;
   vo.shard_heartbeat_ms = heartbeat_ms;
   vo.max_shard_restarts = restarts;
-  vo.batch_width = batch_width;  // 0 folds to the daemon default at launch
   return vo;
 }
 

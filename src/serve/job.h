@@ -71,8 +71,6 @@ struct JobSpec {
   double deadline_ms = -1.0;   ///< per-attempt wall clock (<0 = daemon default, 0 = unlimited)
   long retries = -1;           ///< attempts after the first (<0 = daemon default)
   double mem_mb = 0.0;         ///< reservation hint for the cross-job governor (0 = estimate)
-  std::size_t batch_width = 0; ///< lockstep lanes per batch (0 = daemon default);
-                               ///< scheduling-only, never part of the job key
 
   JobSpec();
 

@@ -250,18 +250,19 @@ std::map<std::size_t, JournalRecord> RemoteExecutor::run(
             peer_lost(p, "undecodable result payload");
             return;
           }
-          const LeaseVerdict v = lease.result(unit, attempt, rec.finding.net);
-          if (v == LeaseVerdict::kAccepted) settle_record(rec);
-          else if (v == LeaseVerdict::kStale) ++rstats_.stale_frames;
+          // Frames from lapsed leases are counted by the lease table
+          // (LeaseTableStats::stale_frames) and dropped here.
+          if (lease.result(unit, attempt, rec.finding.net) ==
+              LeaseVerdict::kAccepted)
+            settle_record(rec);
         } else if (tag == "s") {
           std::string vstr;
           in >> vstr;
           std::size_t victim = 0;
           if (!parse_size(vstr, &victim)) return;
-          const LeaseVerdict v = lease.result(unit, attempt, victim);
-          if (v == LeaseVerdict::kStale) ++rstats_.stale_frames;
           // kAccepted: ineligible victim — settled with no record, the
           // exact in-process semantics of a skipped victim.
+          lease.result(unit, attempt, victim);
         }
         return;
       }
@@ -270,8 +271,7 @@ std::map<std::size_t, JournalRecord> RemoteExecutor::run(
         in >> ustr >> astr;
         std::size_t unit = 0, attempt = 0;
         if (!parse_size(ustr, &unit) || !parse_size(astr, &attempt)) return;
-        const LeaseVerdict v = lease.complete(unit, attempt, mono_ms());
-        if (v == LeaseVerdict::kStale) ++rstats_.stale_frames;
+        lease.complete(unit, attempt, mono_ms());
         if (p.unit == unit && p.attempt == attempt) p.unit = kNoUnit;
         return;
       }

@@ -91,7 +91,6 @@ struct RemoteExecStats {
   std::size_t workers_rejected = 0;   ///< typed kWorkerReject refusals
   std::size_t workers_lost = 0;       ///< closed: EOF, error, corrupt, wedged
   std::size_t lease_expiries = 0;     ///< heartbeat-silence lease failures
-  std::size_t stale_frames = 0;       ///< late frames dropped (unit, attempt)
   std::size_t victims_local = 0;      ///< all-workers-dead local fallback
   LeaseTableStats lease;
 };

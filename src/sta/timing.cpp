@@ -1,66 +1,9 @@
 #include "sta/timing.h"
 
 #include <algorithm>
-#include <queue>
-#include <stdexcept>
+#include <utility>
 
 namespace xtv {
-
-TimingWindow TimingWindow::hull(const TimingWindow& other) const {
-  if (!valid) return other;
-  if (!other.valid) return *this;
-  return of(std::min(start, other.start), std::max(end, other.end));
-}
-
-std::size_t TimingGraph::add_net() {
-  fanin_.emplace_back();
-  fanout_.emplace_back();
-  windows_.push_back(TimingWindow::never());
-  pinned_.push_back(false);
-  return fanin_.size() - 1;
-}
-
-void TimingGraph::add_arc(std::size_t from, std::size_t to, double dmin,
-                          double dmax) {
-  if (from >= net_count() || to >= net_count())
-    throw std::runtime_error("TimingGraph: bad net id");
-  if (dmin > dmax) throw std::runtime_error("TimingGraph: dmin > dmax");
-  fanin_[to].push_back({from, dmin, dmax});
-  fanout_[from].push_back(to);
-}
-
-void TimingGraph::set_window(std::size_t net, TimingWindow window) {
-  if (net >= net_count()) throw std::runtime_error("TimingGraph: bad net id");
-  windows_[net] = window;
-  pinned_[net] = true;
-}
-
-void TimingGraph::propagate() {
-  const std::size_t n = net_count();
-  // Kahn topological order.
-  std::vector<std::size_t> indeg(n, 0);
-  for (std::size_t v = 0; v < n; ++v) indeg[v] = fanin_[v].size();
-  std::queue<std::size_t> ready;
-  for (std::size_t v = 0; v < n; ++v)
-    if (indeg[v] == 0) ready.push(v);
-
-  std::size_t visited = 0;
-  while (!ready.empty()) {
-    const std::size_t v = ready.front();
-    ready.pop();
-    ++visited;
-    if (!pinned_[v]) {
-      TimingWindow w = TimingWindow::never();
-      for (const Arc& arc : fanin_[v])
-        w = w.hull(windows_[arc.from].shifted(arc.dmin, arc.dmax));
-      windows_[v] = w;
-    }
-    for (std::size_t to : fanout_[v])
-      if (--indeg[to] == 0) ready.push(to);
-  }
-  if (visited != n)
-    throw std::runtime_error("TimingGraph: cycle detected");
-}
 
 void LogicCorrelation::add_complementary(std::size_t a, std::size_t b) {
   complementary_.emplace_back(a, b);

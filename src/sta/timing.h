@@ -1,13 +1,14 @@
-// Switching windows and arrival-time propagation.
+// Switching windows and logic correlations.
 //
 // The paper uses "timing window and logic/timing correlation information
 // ... in pruning and in analysis" (Section 6) to avoid impossible
-// aggressor alignments. This module provides the minimal static-timing
-// machinery that produces those windows: a DAG of nets with min/max edge
-// delays, window propagation from primary inputs, and overlap queries.
+// aggressor alignments. This module holds the two filters the verifier
+// applies: switching-window overlap and logic-correlation vetoes. The
+// windows themselves come with the design (chipgen draws them).
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace xtv {
@@ -26,49 +27,6 @@ struct TimingWindow {
   bool overlaps(const TimingWindow& other) const {
     return valid && other.valid && start <= other.end && other.start <= end;
   }
-
-  /// Window shifted by [dmin, dmax] (propagation through an edge).
-  TimingWindow shifted(double dmin, double dmax) const {
-    return valid ? of(start + dmin, end + dmax) : never();
-  }
-
-  /// Smallest window containing both (union hull).
-  TimingWindow hull(const TimingWindow& other) const;
-};
-
-/// Net-level timing DAG: nodes are nets, edges are cell arcs with bounded
-/// delay. Windows propagate forward from primary-input assignments.
-class TimingGraph {
- public:
-  /// Adds a net node; returns its id.
-  std::size_t add_net();
-
-  std::size_t net_count() const { return fanin_.size(); }
-
-  /// Adds an arc `from -> to` with delay in [dmin, dmax]. Requires
-  /// dmin <= dmax and valid ids; cycles are rejected at propagate() time.
-  void add_arc(std::size_t from, std::size_t to, double dmin, double dmax);
-
-  /// Pins a net's window (primary inputs / clock roots).
-  void set_window(std::size_t net, TimingWindow window);
-
-  /// Propagates windows in topological order. Nets with no assignment and
-  /// no fanin get the never() window. Throws std::runtime_error if the
-  /// graph has a cycle.
-  void propagate();
-
-  /// Window of a net (after propagate()).
-  const TimingWindow& window(std::size_t net) const { return windows_.at(net); }
-
- private:
-  struct Arc {
-    std::size_t from;
-    double dmin, dmax;
-  };
-  std::vector<std::vector<Arc>> fanin_;
-  std::vector<std::vector<std::size_t>> fanout_;
-  std::vector<TimingWindow> windows_;
-  std::vector<bool> pinned_;
 };
 
 /// Logic correlations between nets (Section 2: "the logic values of

@@ -40,7 +40,6 @@ const char* fault_site_name(FaultSite site) {
     case FaultSite::kRemoteSend: return "remote-send";
     case FaultSite::kRemoteRecv: return "remote-recv";
     case FaultSite::kLeaseExpiry: return "lease-expiry";
-    case FaultSite::kBatchLane: return "batch-lane";
     case FaultSite::kCount: break;
   }
   return "unknown";

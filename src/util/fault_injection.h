@@ -43,7 +43,6 @@ enum class FaultSite : int {
   kRemoteSend,          ///< serve: coordinator->worker frame write failure
   kRemoteRecv,          ///< serve: worker->coordinator frame read failure
   kLeaseExpiry,         ///< serve: force a held lease to expire immediately
-  kBatchLane,           ///< mor: batch lane poisoned -> scalar re-run
   kCount,               ///< number of sites (not a site)
 };
 

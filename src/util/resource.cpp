@@ -44,26 +44,10 @@ ClusterScope::ClusterScope(std::size_t limit_bytes, const char* label)
 
 ClusterScope::~ClusterScope() {
   MemoryGovernor::instance().remove_scope(this);
-  // A parked scope (batch scheduling) may be destroyed while some other
-  // scope — or none — is installed on this thread; only unwind the
-  // thread-local binding when it is actually ours.
-  if (t_current_scope == this) t_current_scope = prev_;
+  t_current_scope = prev_;
 }
 
 ClusterScope* ClusterScope::current() { return t_current_scope; }
-
-ClusterScope* ClusterScope::exchange_current(ClusterScope* scope) {
-  ClusterScope* prev = t_current_scope;
-  t_current_scope = scope;
-  return prev;
-}
-
-ClusterScope::Activation::Activation(ClusterScope* scope)
-    : saved_(t_current_scope) {
-  t_current_scope = scope;
-}
-
-ClusterScope::Activation::~Activation() { t_current_scope = saved_; }
 
 void ClusterScope::charge(std::size_t bytes) {
   const std::size_t now =

@@ -62,28 +62,6 @@ class ClusterScope {
   /// when no scope is active — charges then become no-ops).
   static ClusterScope* current();
 
-  /// Installs `scope` (which may be nullptr) as this thread's current
-  /// scope and returns the previous one. The batch scheduler uses this to
-  /// park a victim's scope while other lanes run and re-attach it for the
-  /// victim's own lane sections; callers must restore the returned scope.
-  static ClusterScope* exchange_current(ClusterScope* scope);
-
-  /// RAII form of exchange_current: bills this thread's charges to
-  /// `scope` while alive, restoring the previous binding on destruction.
-  /// Unlike the constructor/destructor pair, Activation never registers
-  /// or unregisters the scope with the governor — the scope object's own
-  /// lifetime does that exactly once.
-  class Activation {
-   public:
-    explicit Activation(ClusterScope* scope);
-    ~Activation();
-    Activation(const Activation&) = delete;
-    Activation& operator=(const Activation&) = delete;
-
-   private:
-    ClusterScope* saved_;
-  };
-
   /// Suspends limit enforcement (not accounting) on this thread while
   /// alive. Used around the Devgan-bound fallback so the rung that "cannot
   /// fail" truly cannot: computing the bound for an over-budget cluster

@@ -94,7 +94,6 @@ void expect(bool ok, std::size_t trial, const char* what,
 
 struct TrialConfig {
   std::size_t threads = 1;
-  std::size_t batch_width = 1;
   double deadline_ms = 0.0;
   double mem_mb = 0.0;
   bool pressure = false;
@@ -109,7 +108,6 @@ struct TrialConfig {
   std::string to_string() const {
     std::string s = "threads=" + std::to_string(threads);
     char buf[64];
-    if (batch_width > 1) s += " batch=" + std::to_string(batch_width);
     if (deadline_ms > 0.0) {
       std::snprintf(buf, sizeof(buf), " deadline=%.0fms", deadline_ms);
       s += buf;
@@ -143,12 +141,6 @@ struct TrialConfig {
 TrialConfig draw_config(Prng& rng) {
   TrialConfig cfg;
   cfg.threads = static_cast<std::size_t>(rng.uniform_int(1, 4));
-  {
-    // Lockstep batching alternates with scalar trials so faults, deadlines,
-    // memory pressure, and kill+resume all exercise the lane path too.
-    const std::size_t width_choices[] = {1, 2, 4, 8};
-    cfg.batch_width = width_choices[rng.uniform_int(0, 3)];
-  }
   if (rng.bernoulli(0.5)) {
     const double choices[] = {1.0, 5.0, 20.0};
     cfg.deadline_ms = choices[rng.uniform_int(0, 2)];
@@ -171,13 +163,13 @@ TrialConfig draw_config(Prng& rng) {
       FaultSite::kPassivityCheck, FaultSite::kReducedNewton,
       FaultSite::kSpiceNewton,    FaultSite::kWaveformFinite,
       FaultSite::kFpTrap,         FaultSite::kVictimTask,
-      FaultSite::kCertifyProbe,   FaultSite::kBatchLane,
+      FaultSite::kCertifyProbe,
   };
   const int n_armed = rng.uniform_int(0, 2);
   for (int i = 0; i < n_armed; ++i) {
     const std::uint64_t period_choices[] = {1, 3, 5, 9};
     const std::uint64_t cap_choices[] = {0, 1, 3};
-    cfg.armed.push_back(pool[rng.uniform_int(0, 9)]);
+    cfg.armed.push_back(pool[rng.uniform_int(0, 8)]);
     cfg.periods.push_back(period_choices[rng.uniform_int(0, 3)]);
     cfg.caps.push_back(cap_choices[rng.uniform_int(0, 2)]);
   }
@@ -492,7 +484,6 @@ int main(int argc, char** argv) {
     const TrialConfig cfg = draw_config(rng);
     VerifierOptions options = base;
     options.threads = cfg.threads;
-    options.batch_width = cfg.batch_width;
     options.cluster_deadline_ms = cfg.deadline_ms;
     options.cluster_mem_mb = cfg.mem_mb;
     options.certify = cfg.certify;

@@ -12,6 +12,7 @@
 #include "spice/simulator.h"
 #include "util/prng.h"
 #include "util/units.h"
+#include "util/workspace.h"
 
 namespace xtv {
 namespace {
@@ -352,9 +353,35 @@ TEST(ReducedSim, DcFixedPointWithClamp) {
   ReducedModel model = sympvl_reduce(net);
   ReducedSimulator sim(model);
   // Clamp pulls toward 2V with 1 mS against the 1 mS port holder: expect 1V.
+  // run() starts from the DC fixed point, so its t = 0 sample is it.
   sim.set_termination(0, std::make_shared<CubicClamp>(2.0, 1e-3, 0.0));
-  const Vector v = sim.dc_port_voltages();
-  EXPECT_NEAR(v[0], 1.0, 1e-5);
+  ReducedSimOptions opt;
+  opt.tstop = 1e-11;
+  opt.dt = 1e-12;
+  const ReducedSimResult res = sim.run(opt);
+  EXPECT_EQ(res.port_voltages[0].time(0), 0.0);
+  EXPECT_NEAR(res.port_voltages[0].first_value(), 1.0, 1e-5);
+}
+
+TEST(ReducedSim, NewtonLoopMakesNoWorkspaceAcquires) {
+  // The Woodbury solve runs on reused scratch: a nonlinear run's arena
+  // traffic must not grow with the step count (one m x m matrix per
+  // Newton iteration would make 2 * tstop cost twice the acquires).
+  RcNetwork net = make_coupled_pair(6);
+  ReducedSimulator sim(sympvl_reduce(net));
+  sim.set_input(0, SourceWave::ramp(0.0, 3e-2, 0.1e-9, 0.1e-9));
+  sim.set_termination(1, std::make_shared<CubicClamp>(0.0, 5e-4, 2e-3));
+  auto acquires_for = [&](double tstop) {
+    ReducedSimOptions opt;
+    opt.tstop = tstop;
+    opt.dt = 1e-12;
+    workspace::reset_stats();
+    const ReducedSimResult res = sim.run(opt);
+    EXPECT_GT(res.newton_iterations, res.steps);
+    return workspace::stats().acquires;
+  };
+  const std::size_t single = acquires_for(0.5e-9);
+  EXPECT_EQ(acquires_for(1e-9), single);
 }
 
 TEST(ReducedSim, RejectsBadPortIndices) {

@@ -1,4 +1,4 @@
-// Tests for timing windows, arrival propagation, and logic correlation.
+// Tests for timing-window overlap and logic correlation.
 #include <gtest/gtest.h>
 
 #include "sta/timing.h"
@@ -19,73 +19,6 @@ TEST(TimingWindow, OverlapRules) {
   // never() overlaps nothing.
   EXPECT_FALSE(TimingWindow::never().overlaps(a));
   EXPECT_FALSE(a.overlaps(TimingWindow::never()));
-}
-
-TEST(TimingWindow, ShiftAndHull) {
-  const auto w = TimingWindow::of(1.0, 2.0).shifted(0.5, 1.5);
-  EXPECT_DOUBLE_EQ(w.start, 1.5);
-  EXPECT_DOUBLE_EQ(w.end, 3.5);
-  const auto h = TimingWindow::of(0.0, 1.0).hull(TimingWindow::of(3.0, 4.0));
-  EXPECT_DOUBLE_EQ(h.start, 0.0);
-  EXPECT_DOUBLE_EQ(h.end, 4.0);
-  EXPECT_FALSE(TimingWindow::never().shifted(1.0, 1.0).valid);
-}
-
-TEST(TimingGraph, LinearChainPropagation) {
-  TimingGraph g;
-  const auto a = g.add_net();
-  const auto b = g.add_net();
-  const auto c = g.add_net();
-  g.add_arc(a, b, 0.1, 0.2);
-  g.add_arc(b, c, 0.3, 0.5);
-  g.set_window(a, TimingWindow::of(0.0, 1.0));
-  g.propagate();
-  EXPECT_DOUBLE_EQ(g.window(b).start, 0.1);
-  EXPECT_DOUBLE_EQ(g.window(b).end, 1.2);
-  EXPECT_DOUBLE_EQ(g.window(c).start, 0.4);
-  EXPECT_DOUBLE_EQ(g.window(c).end, 1.7);
-}
-
-TEST(TimingGraph, ReconvergenceTakesHull) {
-  // a -> c (fast) and a -> b -> c (slow): c's window spans both paths.
-  TimingGraph g;
-  const auto a = g.add_net();
-  const auto b = g.add_net();
-  const auto c = g.add_net();
-  g.add_arc(a, c, 0.1, 0.1);
-  g.add_arc(a, b, 0.5, 0.5);
-  g.add_arc(b, c, 0.5, 0.5);
-  g.set_window(a, TimingWindow::of(0.0, 0.0));
-  g.propagate();
-  EXPECT_DOUBLE_EQ(g.window(c).start, 0.1);
-  EXPECT_DOUBLE_EQ(g.window(c).end, 1.0);
-}
-
-TEST(TimingGraph, UnreachedNetsNeverSwitch) {
-  TimingGraph g;
-  const auto a = g.add_net();
-  const auto b = g.add_net();
-  (void)b;
-  g.set_window(a, TimingWindow::of(0.0, 1.0));
-  g.propagate();
-  EXPECT_FALSE(g.window(1).valid);
-}
-
-TEST(TimingGraph, DetectsCycles) {
-  TimingGraph g;
-  const auto a = g.add_net();
-  const auto b = g.add_net();
-  g.add_arc(a, b, 0.1, 0.1);
-  g.add_arc(b, a, 0.1, 0.1);
-  EXPECT_THROW(g.propagate(), std::runtime_error);
-}
-
-TEST(TimingGraph, ValidatesArcs) {
-  TimingGraph g;
-  const auto a = g.add_net();
-  EXPECT_THROW(g.add_arc(a, 99, 0.0, 1.0), std::runtime_error);
-  EXPECT_THROW(g.add_arc(a, a, 1.0, 0.5), std::runtime_error);
-  EXPECT_THROW(g.set_window(99, TimingWindow::of(0, 1)), std::runtime_error);
 }
 
 TEST(LogicCorrelation, ComplementaryPairsCannotSwitchSameDirection) {
