@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "chipgen/dsp_chip.h"
 #include "core/analytic_estimates.h"
@@ -87,10 +88,13 @@ TEST(SakuraiDelay, MatchesSimulatedDistributedLine) {
 }
 
 // The conservatism sweep: for many victim/aggressor configurations, the
-// Devgan bound must be >= the simulated glitch peak.
+// Devgan bound must be >= the simulated glitch peak. Cell names are
+// std::string so the registered test names print the name, not a pointer
+// that moves with every run.
 class DevganConservative
     : public AnalyticFixture,
-      public ::testing::WithParamInterface<std::tuple<double, const char*, const char*>> {};
+      public ::testing::WithParamInterface<
+          std::tuple<double, std::string, std::string>> {};
 
 TEST_P(DevganConservative, BoundDominatesSimulatedPeak) {
   const auto [len_um, vic_cell, agg_cell] = GetParam();
@@ -124,8 +128,10 @@ TEST_P(DevganConservative, BoundDominatesSimulatedPeak) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DevganConservative,
     ::testing::Combine(::testing::Values(200.0, 800.0, 2500.0),
-                       ::testing::Values("INV_X1", "INV_X8"),
-                       ::testing::Values("INV_X4", "BUF_X8")));
+                       ::testing::Values(std::string("INV_X1"),
+                                         std::string("INV_X8")),
+                       ::testing::Values(std::string("INV_X4"),
+                                         std::string("BUF_X8"))));
 
 TEST_F(AnalyticFixture, VerifierNoiseScreenIsSafeAndEffective) {
   DspChipOptions chip_opt;

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "cells/transistor_driver.h"
 #include "chipgen/dsp_chip.h"
@@ -232,10 +233,11 @@ TEST_F(IntegrationFixture, ExtractedClusterSurvivesDeckRoundTrip) {
 }
 
 // Cross-engine parity sweep: MOR-with-table-model vs transistor SPICE for
-// a matrix of victim cells and coupled lengths (a compressed Table-4).
+// a matrix of victim cells and coupled lengths (a compressed Table-4). The
+// cell is a std::string so the registered test names are stable.
 class EngineParity
     : public IntegrationFixture,
-      public ::testing::WithParamInterface<std::tuple<const char*, double>> {};
+      public ::testing::WithParamInterface<std::tuple<std::string, double>> {};
 
 TEST_P(EngineParity, TableModelTracksTransistorReference) {
   const auto [cell, len_um] = GetParam();
@@ -267,9 +269,11 @@ TEST_P(EngineParity, TableModelTracksTransistorReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EngineParity,
-    ::testing::Combine(::testing::Values("INV_X1", "INV_X8", "NAND2_X2",
-                                         "NOR2_X4", "BUF_X4", "DFF_X2"),
-                       ::testing::Values(200.0, 1000.0, 3000.0)));
+    ::testing::Combine(
+        ::testing::Values(std::string("INV_X1"), std::string("INV_X8"),
+                          std::string("NAND2_X2"), std::string("NOR2_X4"),
+                          std::string("BUF_X4"), std::string("DFF_X2")),
+        ::testing::Values(200.0, 1000.0, 3000.0)));
 
 TEST_F(IntegrationFixture, FullFlowEndToEnd) {
   // The quickstart flow with assertions: generate -> prune -> analyze ->
