@@ -129,7 +129,7 @@ bool run_round(std::size_t n_workers, std::size_t jobs,
       ok = false;
       break;
     }
-    const serve::RemoteExecStats& rs = exec.remote_stats();
+    const CoordinatorStats& rs = exec.remote_stats();
     stats->duplicates += rs.lease.duplicate_results;
     stats->stale_frames += rs.lease.stale_frames;
     stats->victims_local += rs.victims_local;

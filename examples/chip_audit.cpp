@@ -6,13 +6,12 @@
 //
 // Build & run:  ./build/examples/chip_audit [net_count] [flags]
 //   --threads N               worker threads (default 1 = serial)
-//   --processes N             worker *processes* (default 0 = in-process path);
-//                             each forked worker runs a contiguous victim
-//                             shard crash-isolated from the others
-//   --shard-heartbeat-ms MS   worker heartbeat period; 10x silence presumes a
-//                             wedged worker and kills it (0 = stall check off)
-//   --max-shard-restarts N    worker respawns per shard before its remaining
-//                             victims are conceded as shard-crashed
+//   --processes N             forked holder *processes* (default 0 =
+//                             in-process path); each holder analyzes one
+//                             leased victim at a time, crash-isolated from
+//                             the others (DESIGN.md §12)
+//   --shard-heartbeat-ms MS   holder heartbeat period (> 0); 10x silence
+//                             expires its lease, another 10x kills it
 //   --cluster-deadline-ms MS  per-cluster wall-clock budget (0 = unlimited)
 //   --cluster-mem-mb MB       per-cluster memory budget (0 = unlimited)
 //   --global-mem-soft-mb MB   soft RSS limit; sheds largest queued clusters
@@ -47,8 +46,8 @@
 //                             (host:port,...); victims are leased to the
 //                             fleet over TCP (DESIGN.md §14) instead of
 //                             local threads/processes
-//   --worker-heartbeat-ms MS  expected worker heartbeat; 10x silence expires
-//                             its leases (default 250)
+//   --worker-heartbeat-ms MS  expected worker heartbeat (> 0); 10x silence
+//                             expires its leases (default 250)
 //   --unit-victims N          victims per leased work unit (default 16)
 //   --max-unit-attempts N     lease attempts before a unit is quarantined
 //                             and conceded (default 4)
@@ -124,8 +123,6 @@ int main(int argc, char** argv) {
           flags::parse_double(arg, v, 0.0, 1e9, "a period > 0 ms");
       if (options.shard_heartbeat_ms <= 0.0)
         flags::usage_error(arg, v, "a period > 0 ms");
-    } else if (std::strcmp(arg, "--max-shard-restarts") == 0) {
-      options.max_shard_restarts = flags::parse_size(arg, value(arg));
     } else if (std::strcmp(arg, "--cluster-deadline-ms") == 0) {
       options.cluster_deadline_ms =
           flags::parse_double(arg, value(arg), 0.0, 1e12,
@@ -191,8 +188,11 @@ int main(int argc, char** argv) {
       if (remote_options.workers.empty())
         flags::usage_error(arg, "", "a host:port list");
     } else if (std::strcmp(arg, "--worker-heartbeat-ms") == 0) {
-      remote_options.heartbeat_ms = flags::parse_double(
-          arg, value(arg), 0.0, 1e9, "a period >= 0 ms (0 = stall check off)");
+      const char* v = value(arg);
+      remote_options.heartbeat_ms =
+          flags::parse_double(arg, v, 0.0, 1e9, "a period > 0 ms");
+      if (remote_options.heartbeat_ms <= 0.0)
+        flags::usage_error(arg, v, "a period > 0 ms");
     } else if (std::strcmp(arg, "--unit-victims") == 0) {
       remote_options.unit_victims =
           flags::parse_size(arg, value(arg), 1, "an integer >= 1");
@@ -282,10 +282,8 @@ int main(int argc, char** argv) {
   if (options.threads > 1)
     std::printf("  %zu worker threads\n", options.threads);
   if (options.processes > 0)
-    std::printf("  %zu worker processes (heartbeat %.0f ms, %zu restarts "
-                "per shard)\n",
-                options.processes, options.shard_heartbeat_ms,
-                options.max_shard_restarts);
+    std::printf("  %zu worker processes (heartbeat %.0f ms)\n",
+                options.processes, options.shard_heartbeat_ms);
   if (remote)
     std::printf("  %zu remote workers (heartbeat %.0f ms, %zu victims/unit, "
                 "%zu lease attempts)\n",
@@ -345,7 +343,7 @@ int main(int argc, char** argv) {
                 report.worker_crashes, report.shard_restarts,
                 report.victims_quarantined, report.victims_shard_crashed);
   if (remote) {
-    const serve::RemoteExecStats& rs = remote->remote_stats();
+    const CoordinatorStats& rs = remote->remote_stats();
     std::printf("remote fan-out: connected=%zu rejected=%zu lost=%zu "
                 "lease-expiries=%zu reassignments=%zu stale-frames=%zu "
                 "duplicates=%zu quarantined=%zu local-fallback=%zu\n",

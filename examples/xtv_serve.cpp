@@ -11,7 +11,7 @@
 //                               bound endpoint lands in JOBS/daemon.tcp)
 //       --queue N               admission queue capacity (default 8)
 //       --max-running N         concurrent job runners (default 1)
-//       --processes N           shard workers per runner when the job
+//       --processes N           forked lease holders per runner when the job
 //                               spec does not say (default 2)
 //       --retries N             default attempts after the first (default 2)
 //       --deadline-ms MS        default per-attempt wall clock (0 = off)
@@ -32,8 +32,8 @@
 //       --drain-timeout-ms MS   drain kills running jobs after this (0 = wait)
 //       --workers LIST          lease every job's victims to these
 //                               xtv_worker endpoints (host:port,...)
-//                               instead of local process shards
-//       --worker-heartbeat-ms MS  expected worker heartbeat (default 250)
+//                               instead of forked local holders
+//       --worker-heartbeat-ms MS  expected worker heartbeat (> 0, default 250)
 //       --unit-victims N        victims per leased work unit (default 16)
 //       --max-unit-attempts N   lease attempts before quarantine (default 4)
 //
@@ -147,8 +147,11 @@ int run_daemon(int argc, char** argv) {
       for (std::string ep; std::getline(list, ep, ',');)
         if (!ep.empty()) opt.workers.push_back(ep);
     } else if (std::strcmp(arg, "--worker-heartbeat-ms") == 0) {
-      opt.worker_heartbeat_ms = flags::parse_double(
-          arg, value(), 0.0, 1e9, "a period >= 0 ms (0 = stall check off)");
+      const char* v = value();
+      opt.worker_heartbeat_ms =
+          flags::parse_double(arg, v, 0.0, 1e9, "a period > 0 ms");
+      if (opt.worker_heartbeat_ms <= 0.0)
+        flags::usage_error(arg, v, "a period > 0 ms");
     } else if (std::strcmp(arg, "--unit-victims") == 0) {
       opt.unit_victims = flags::parse_size(arg, value(), 1,
                                            "an integer >= 1");

@@ -14,7 +14,6 @@
 
 #include "util/log.h"
 #include "util/status.h"
-#include "util/subprocess.h"
 
 namespace xtv {
 
@@ -267,19 +266,9 @@ ResultJournal::LoadResult ResultJournal::load(const std::string& path) {
         continue;
       }
     }
-    // Crash marker ("xtvjc <victim> <signal>"): the worker's signal
-    // handler wrote its last words. Read them for attribution, then stop
-    // — the process died here, nothing intact can follow, and the marker
-    // itself is left OUTSIDE valid_bytes so a resume truncates it.
-    if (line.compare(0, std::strlen(subprocess::kCrashMarkerMagic),
-                     subprocess::kCrashMarkerMagic) == 0) {
-      std::istringstream marker_in(
-          line.substr(std::strlen(subprocess::kCrashMarkerMagic)));
-      CrashMarker marker;
-      if (marker_in >> marker.victim >> marker.sig)
-        result.crash_markers.push_back(marker);
-      break;
-    }
+    // Anything but a record ends the intact prefix — including the
+    // "xtvjc <victim> <signal>" crash marker older builds' shard workers
+    // appended as their last words, which a resume then truncates.
     if (line.compare(0, magic_len, kMagic) != 0 ||
         line.size() <= magic_len + 1 || line[magic_len] != ' ')
       break;
@@ -408,8 +397,6 @@ void ResultJournal::append(const JournalRecord& record) {
     unflushed_ = 0;
   }
 }
-
-int ResultJournal::fd() const { return file_ ? fileno(file_) : -1; }
 
 void ResultJournal::flush() {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -49,9 +49,10 @@ std::string journal_encode(const JournalRecord& record);
 /// Decodes a payload line; returns false on any malformed field.
 bool journal_decode(const std::string& payload, JournalRecord& record);
 
-/// Shard journal path for worker `k` of a process-sharded run:
-/// `<base>.shard<k>` (core/shard_exec.h). Centralized so the supervisor,
-/// resume, and cleanup agree on the naming.
+/// Shard journal path `<base>.shard<k>`: the lease coordinator's
+/// insurance journal is shard 0 (core/shard_exec.h); older builds wrote
+/// one per worker process. Centralized so the coordinator, resume, and
+/// cleanup agree on the naming.
 std::string journal_shard_path(const std::string& base, std::size_t k);
 
 /// Shard indices `k` for which `<base>.shard<k>` exists on disk, sorted
@@ -64,29 +65,18 @@ std::vector<std::size_t> journal_list_shards(const std::string& base);
 
 class ResultJournal {
  public:
-  /// One crash-marker line (`xtvjc <victim> <signal>`) found in a shard
-  /// journal — written by the worker's async-signal-safe crash handler
-  /// (util/subprocess.h) so the supervisor can attribute the death to a
-  /// victim without guessing from the heartbeat gap.
-  struct CrashMarker {
-    std::size_t victim = 0;
-    int sig = 0;
-  };
-
   struct LoadResult {
     std::vector<JournalRecord> records;
     /// Byte offset just past the last intact record — the truncation
-    /// point for a writer resuming after a crash. A crash marker is NOT
-    /// counted valid: resume truncates it away after it has been read.
+    /// point for a writer resuming after a crash.
     long valid_bytes = 0;
-    /// True when bytes past valid_bytes were present (torn/corrupt tail,
-    /// or a crash marker).
+    /// True when bytes past valid_bytes were present: a torn or corrupt
+    /// tail, or the `xtvjc <victim> <signal>` crash-marker line older
+    /// builds' shard workers wrote as their last words.
     bool tail_discarded = false;
     /// Header line present and intact; `header_hash` is its options hash.
     bool has_header = false;
     std::uint64_t header_hash = 0;
-    /// Crash markers found after the intact record prefix.
-    std::vector<CrashMarker> crash_markers;
   };
 
   /// Reads every intact record of `path`. A missing file is an empty
@@ -117,17 +107,13 @@ class ResultJournal {
   /// `records` into `path + ".tmp"`, fsyncs the file, atomically
   /// rename()s it over `path`, then fsyncs the containing directory — a
   /// reader (or a resume) sees either the complete old journal or the
-  /// complete new one, never a half-written merge. Used by the shard
-  /// supervisor to finalize the stable-order merged journal.
+  /// complete new one, never a half-written merge. Used by verify() to
+  /// finalize the stable-order merged journal of a process or remote run.
   static void write_atomic(const std::string& path,
                            const std::vector<const JournalRecord*>& records,
                            std::uint64_t options_hash);
 
   const std::string& path() const { return path_; }
-
-  /// Raw descriptor of the open journal (workers register it with the
-  /// crash-marker signal handler; see util/subprocess.h).
-  int fd() const;
 
  private:
   std::string path_;

@@ -4,44 +4,103 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <set>
+#include <sstream>
 #include <thread>
 
-#include "core/wire.h"
+#include "util/fault_injection.h"
 #include "util/log.h"
-#include "util/status.h"
 #include "util/subprocess.h"
 
 namespace xtv {
 
 namespace {
 
-bool parse_index(const std::string& s, std::size_t* out) {
-  if (s.empty()) return false;
+constexpr std::size_t kNoUnit = static_cast<std::size_t>(-1);
+
+double mono_ms() {
+  timespec ts;
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+std::string hash_hex(std::uint64_t h) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+bool parse_u64(const std::string& tok, std::uint64_t* out, int base = 10) {
+  if (tok.empty()) return false;
   errno = 0;
   char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str()) return false;
+  const unsigned long long v = std::strtoull(tok.c_str(), &end, base);
+  if (errno != 0 || end == nullptr || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
+bool parse_size(const std::string& tok, std::size_t* out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(tok, &v)) return false;
   *out = static_cast<std::size_t>(v);
   return true;
 }
 
-double ms_between(std::chrono::steady_clock::time_point a,
-                  std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
+std::size_t env_size(const char* name, std::size_t fallback) {
+  const char* v = std::getenv(name);
+  std::size_t out = 0;
+  return v != nullptr && parse_size(v, &out) ? out : fallback;
+}
+
+/// Writes one frame to a holder socket. MSG_NOSIGNAL: a holder that died
+/// surfaces as EPIPE here, not as a SIGPIPE that kills the coordinator.
+bool send_frame(int fd, WireType type, const std::string& payload) {
+  const std::string frame = wire_encode_frame(type, payload);
+  std::size_t off = 0;
+  while (off < frame.size()) {
+    const ssize_t n =
+        ::send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Rewrites a bound-only record into the concession contract: the
+/// conservative peak stands, the status says why it was conceded.
+void stamp_concession(JournalRecord& rec) {
+  rec.screened = false;
+  rec.finding.status = FindingStatus::kShardCrashed;
+  rec.finding.error_code = StatusCode::kWorkerCrashed;
+  rec.finding.error =
+      "conceded to conservative bound: its lease failed on two distinct "
+      "workers or used up its attempts";
 }
 
 // --- Test hooks (env-driven, inert in production) ---
 
-/// Worker-side: crash deterministically on reaching a chosen victim.
+/// Holder side: crash deterministically on reaching a chosen victim.
 struct CrashHook {
   bool armed = false;
   std::size_t victim = 0;
@@ -51,21 +110,22 @@ struct CrashHook {
   static CrashHook from_env() {
     CrashHook h;
     const char* v = std::getenv("XTV_TEST_CRASH_VICTIM");
-    if (!v || !*v || !parse_index(v, &h.victim)) return h;
+    if (!v || !parse_size(v, &h.victim)) return h;
     h.armed = true;
     if (const char* m = std::getenv("XTV_TEST_CRASH_MODE")) {
       if (std::strcmp(m, "segv") == 0) h.mode = kSegv;
       else if (std::strcmp(m, "fpe") == 0) h.mode = kFpe;
       else if (std::strcmp(m, "exit42") == 0) h.mode = kExit42;
     }
-    if (const char* f = std::getenv("XTV_TEST_CRASH_ONCE_FILE")) h.once_file = f;
+    if (const char* f = std::getenv("XTV_TEST_CRASH_ONCE_FILE"))
+      h.once_file = f;
     return h;
   }
 
   void maybe_crash(std::size_t net) const {
     if (!armed || net != victim) return;
     if (!once_file.empty()) {
-      // O_CREAT|O_EXCL succeeds exactly once across all worker processes:
+      // O_CREAT|O_EXCL succeeds exactly once across all holder processes:
       // the first reaching the victim crashes, retries run clean.
       const int fd =
           ::open(once_file.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
@@ -81,514 +141,565 @@ struct CrashHook {
   }
 };
 
-/// Supervisor-side: SIGKILL the worker that announces victim-start for a
-/// chosen net, up to a count. Victim-keyed (not record-count-keyed) so the
-/// injection is deterministic across replays regardless of shard pacing.
-struct KillOnStartHook {
-  bool armed = false;
+/// Coordinator side: SIGKILL the forked holder just granted a chosen
+/// net's unit, up to a count — before the assignment is sent, so the
+/// holder can never finish the victim first. Victim-keyed (not
+/// record-count-keyed), so the injection replays deterministically.
+struct KillOnGrantHook {
   std::size_t victim = 0;
   int remaining = 0;
 
-  static KillOnStartHook from_env() {
-    KillOnStartHook h;
+  static KillOnGrantHook from_env() {
+    KillOnGrantHook h;
     const char* v = std::getenv("XTV_TEST_SHARD_KILL_ON_START");
     if (!v || !*v) return h;
     errno = 0;
     char* end = nullptr;
     const unsigned long long net = std::strtoull(v, &end, 10);
     if (errno != 0 || end == v) return h;
-    h.armed = true;
     h.victim = static_cast<std::size_t>(net);
     h.remaining = (end && *end == ':') ? std::atoi(end + 1) : 1;
     return h;
   }
+
+  bool fires(const HolderLink& link, const std::vector<std::size_t>& unit) {
+    if (remaining <= 0 || link.pid <= 0 ||
+        std::find(unit.begin(), unit.end(), victim) == unit.end())
+      return false;
+    --remaining;
+    return true;
+  }
 };
 
-// --- Worker ---
+// --- Holder side ---
 
-[[noreturn]] void worker_main(int pipe_fd, std::size_t spawn_index,
-                              const std::vector<std::size_t>& victims,
-                              bool bound_only, const ShardCallbacks& cb,
-                              const ShardExecOptions& opt) {
-  subprocess::ignore_sigpipe();
-  std::unique_ptr<ResultJournal> journal;
-  if (!opt.journal_path.empty()) {
-    try {
-      // flush_every=1: the stdio buffer is empty whenever a signal can
-      // arrive, so the crash marker never interleaves a buffered record.
-      journal = std::make_unique<ResultJournal>(
-          journal_shard_path(opt.journal_path, spawn_index), /*resume=*/false,
-          opt.options_hash, /*flush_every=*/1);
-    } catch (const std::exception& e) {
-      logf(LogLevel::kWarn, "shard %zu: cannot open shard journal: %s",
-           spawn_index, e.what());
-    }
-  }
-  subprocess::install_crash_marker_handler(journal ? journal->fd() : -1);
-  if (cb.worker_init) {
-    try {
-      cb.worker_init();
-    } catch (const std::exception& e) {
-      logf(LogLevel::kWarn, "shard %zu: worker_init failed: %s", spawn_index,
-           e.what());
-    }
-  }
-
-  WireWriter writer(pipe_fd);
-  writer.send(WireType::kHello, std::to_string(spawn_index) + " " +
-                                    std::to_string(::getpid()));
-
-  // Heartbeat thread: proves liveness while a large cluster computes.
-  // The writer's internal mutex keeps its frames from interleaving the
-  // victim loop's; the condition variable makes shutdown prompt.
-  std::mutex beat_mutex;
-  std::condition_variable beat_cv;
-  bool stop = false;
-  std::thread beater;
-  if (opt.heartbeat_ms > 0) {
-    beater = std::thread([&] {
+/// Sends kHeartbeat every period from its own thread, except while a test
+/// stall holds it back (a stalled holder must look dead).
+class Heartbeat {
+ public:
+  Heartbeat(WireWriter& writer, double period_ms) : writer_(writer) {
+    if (period_ms <= 0.0) return;
+    thread_ = std::thread([this, period_ms] {
       std::uint64_t seq = 0;
-      const auto period =
-          std::chrono::duration<double, std::milli>(opt.heartbeat_ms);
-      std::unique_lock<std::mutex> lock(beat_mutex);
-      while (!beat_cv.wait_for(lock, period, [&] { return stop; }))
-        writer.send(WireType::kHeartbeat, std::to_string(seq++));
+      const auto period = std::chrono::duration<double, std::milli>(period_ms);
+      std::unique_lock<std::mutex> lock(mutex_);
+      while (!cv_.wait_for(lock, period, [this] { return stop_; })) {
+        if (mono_ms() < stall_until_ms_.load()) continue;
+        if (!writer_.send(WireType::kHeartbeat, std::to_string(seq++))) return;
+      }
     });
   }
+  ~Heartbeat() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    if (thread_.joinable()) thread_.join();
+  }
+  Heartbeat(const Heartbeat&) = delete;
+  Heartbeat& operator=(const Heartbeat&) = delete;
 
-  const CrashHook hook = CrashHook::from_env();
-  const KillOnStartHook kill_hook = KillOnStartHook::from_env();
-  std::size_t streamed = 0;
-  bool pipe_ok = true;
-  for (std::size_t v : victims) {
-    subprocess::set_crash_marker_victim(v);
-    if (!writer.send(WireType::kVictimStart, std::to_string(v))) {
-      pipe_ok = false;
-      break;
-    }
-    // Kill-on-start test hook: pause after announcing the targeted victim
-    // so the supervisor's SIGKILL deterministically lands before analysis
-    // can outrun the signal (the Devgan-bound rung finishes in
-    // microseconds otherwise).
-    if (kill_hook.armed && v == kill_hook.victim) ::usleep(250 * 1000);
-    // The hook is skipped on the bound-only rung so tests can observe a
-    // successful concession (rung 3) distinctly from the synthesized
-    // last-resort record (rung 4, reachable via the kill-on-start hook).
-    if (!bound_only) hook.maybe_crash(v);
-    std::optional<JournalRecord> rec;
-    try {
-      rec = cb.analyze(v, bound_only);
-    } catch (...) {
-      // analyze() contractually absorbs analysis failures; an escape means
-      // this process is no longer trustworthy — die loudly so the
-      // supervisor quarantines the victim.
-      std::abort();
-    }
-    subprocess::set_crash_marker_victim(subprocess::kNoCrashVictim);
-    if (!rec) {
-      if (!writer.send(WireType::kVictimSkipped, std::to_string(v))) {
-        pipe_ok = false;
-        break;
+  void stall_until(double ms) { stall_until_ms_.store(ms); }
+
+ private:
+  WireWriter& writer_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool stop_ = false;  ///< guarded by mutex_
+  std::atomic<double> stall_until_ms_{0.0};
+  std::thread thread_;  // last: started after the members it uses
+};
+
+/// A forked holder's whole life: per-process setup, the ready frame, then
+/// the unit loop until the coordinator closes the link. _exit, not exit:
+/// atexit handlers and static destructors belong to the coordinator image
+/// this process was forked from — and no exception may unwind into it.
+[[noreturn]] void holder_main(int fd, const CoordinatorOptions& opt,
+                              const ShardCallbacks& cb) {
+  try {
+    subprocess::ignore_sigpipe();
+    if (cb.worker_init) {
+      try {
+        cb.worker_init();
+      } catch (const std::exception& e) {
+        logf(LogLevel::kWarn, "holder %d: worker_init failed: %s",
+             static_cast<int>(::getpid()), e.what());
       }
-      continue;
     }
-    // Journal before streaming: on a crash between the two, the record is
-    // recovered from the shard journal instead of being re-analyzed.
-    if (journal) journal->append(*rec);
-    if (!writer.send(WireType::kVictimDone, journal_encode(*rec))) {
-      pipe_ok = false;
-      break;
+    WireWriter writer(fd);
+    if (writer.send(WireType::kWorkerReady,
+                    hash_hex(opt.options_hash) + " " +
+                        std::to_string(::getpid()))) {
+      WireDecoder decoder;
+      serve_units(fd, decoder,
+                  [&](std::size_t v) { return cb.analyze(v, false); },
+                  opt.heartbeat_ms);
     }
-    ++streamed;
+  } catch (...) {
+    std::abort();
   }
-  if (journal) journal->flush();
-  {
-    std::lock_guard<std::mutex> lock(beat_mutex);
-    stop = true;
-  }
-  beat_cv.notify_all();
-  if (beater.joinable()) beater.join();
-  if (pipe_ok) writer.send(WireType::kShardDone, std::to_string(streamed));
-  // _exit, not exit: atexit handlers and static destructors belong to the
-  // supervisor image this process was forked from.
   ::_exit(0);
 }
 
-// --- Supervisor ---
+/// Forked holders: socketpair + fork without exec, one victim per unit.
+class ForkedFleet final : public HolderFleet {
+ public:
+  ForkedFleet(std::size_t processes, const CoordinatorOptions& opt,
+              const ShardCallbacks& cb)
+      : processes_(processes), opt_(opt), cb_(cb) {}
 
-struct Worker {
-  pid_t pid = -1;
-  int fd = -1;
-  std::size_t spawn_index = 0;
-  std::size_t restarts = 0;  ///< restart budget consumed by this shard chain
-  std::vector<std::size_t> pending;  ///< victims not yet done/skipped
-  bool bound_only = false;
-  bool quarantine_retry = false;
-  long long in_flight = -1;
-  std::chrono::steady_clock::time_point last_heard;
-  WireDecoder decoder;
-  bool shard_done = false;
-  bool eof = false;
-  bool killed_for_stall = false;
-  bool killed_for_corruption = false;
+  std::vector<HolderLink> open() override {
+    std::vector<HolderLink> links;
+    for (std::size_t i = 0; i < processes_; ++i) links.push_back(replace());
+    return links;
+  }
+
+  void close(const HolderLink& link) override {
+    ::close(link.fd);
+    fds_.erase(link.fd);
+    ::kill(link.pid, SIGKILL);
+    subprocess::wait_for(link.pid, nullptr);
+  }
+
+  HolderLink replace() override {
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+      logf(LogLevel::kWarn, "holder socketpair failed: %s",
+           std::strerror(errno));
+      return {};
+    }
+    const std::size_t index = spawned_++;
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      // The coordinator ends of the other holders' links must not stay
+      // open here, or closing them would never reach those holders.
+      ::close(sv[0]);
+      for (int fd : fds_) ::close(fd);
+      holder_main(sv[1], opt_, cb_);
+    }
+    ::close(sv[1]);
+    if (pid < 0) {
+      logf(LogLevel::kWarn, "holder fork failed: %s", std::strerror(errno));
+      ::close(sv[0]);
+      return {};
+    }
+    fds_.insert(sv[0]);
+    return {"process " + std::to_string(index), sv[0], pid};
+  }
+
+ private:
+  std::size_t processes_;
+  const CoordinatorOptions& opt_;
+  const ShardCallbacks& cb_;
+  std::set<int> fds_;  ///< coordinator ends of the live links
+  std::size_t spawned_ = 0;
 };
 
-class ShardSupervisor {
+// --- Coordinator ---
+
+struct Holder {
+  HolderLink link;
+  WireDecoder decoder;
+  bool ready = false;             ///< ready frame accepted
+  bool dead = false;
+  double opened_ms = 0.0;
+  double last_heard = 0.0;
+  double probation_since = -1.0;  ///< leases expired; awaiting a fresh frame
+  std::size_t unit = kNoUnit;     ///< live assignment
+  std::size_t attempt = 0;
+};
+
+class Coordinator {
  public:
-  ShardSupervisor(const ShardCallbacks& cb, const ShardExecOptions& opt,
-                  ShardExecStats* stats)
-      : cb_(cb), opt_(opt), stats_(stats),
-        kill_hook_(KillOnStartHook::from_env()) {}
-
-  std::map<std::size_t, JournalRecord> run(
-      const std::vector<std::size_t>& work) {
-    const std::size_t n = work.size();
-    const std::size_t shards = std::max<std::size_t>(
-        1, std::min(opt_.processes, n ? n : std::size_t{1}));
-    std::size_t begin = 0;
-    for (std::size_t s = 0; s < shards && begin < n; ++s) {
-      const std::size_t count = n / shards + (s < n % shards ? 1 : 0);
-      spawn(std::vector<std::size_t>(work.begin() + begin,
-                                     work.begin() + begin + count),
-            /*restarts=*/0, /*bound_only=*/false, /*quarantine_retry=*/false);
-      begin += count;
+  Coordinator(const std::vector<std::size_t>& work, HolderFleet& fleet,
+              const CoordinatorOptions& opt, const ShardCallbacks& cb)
+      : fleet_(fleet), opt_(opt), cb_(cb), lease_(work, opt.lease),
+        kill_hook_(KillOnGrantHook::from_env()) {
+    // Crash insurance: accepted results are appended (flush-every-1) to
+    // the shard-0 journal — a killed coordinator resumes without redoing
+    // settled victims, and verify()'s finalization unlinks the file after
+    // the stable-order merge.
+    if (!opt_.journal_path.empty()) {
+      try {
+        insurance_ = std::make_unique<ResultJournal>(
+            journal_shard_path(opt_.journal_path, 0), /*resume=*/false,
+            opt_.options_hash, /*flush_every=*/1);
+      } catch (const std::exception& e) {
+        logf(LogLevel::kWarn, "insurance journal unavailable: %s", e.what());
+      }
     }
+    for (HolderLink& link : fleet_.open()) adopt(std::move(link));
+  }
 
-    const double stall_ms =
-        opt_.heartbeat_ms > 0 ? 10.0 * opt_.heartbeat_ms : 0.0;
-    while (!live_.empty()) {
-      std::vector<struct pollfd> fds;
-      fds.reserve(live_.size());
-      for (const auto& w : live_) fds.push_back({w->fd, POLLIN, 0});
-      const int rc =
-          ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
-      if (rc < 0 && errno != EINTR)
-        throw NumericalError(StatusCode::kInternal,
-                             std::string("shard supervisor poll failed: ") +
-                                 std::strerror(errno));
+  ~Coordinator() {
+    for (auto& h : holders_)
+      if (!h->dead) fleet_.close(h->link);
+  }
+  Coordinator(const Coordinator&) = delete;
+  Coordinator& operator=(const Coordinator&) = delete;
+
+  std::map<std::size_t, JournalRecord> run(CoordinatorStats* stats) {
+    while (!lease_.all_settled()) {
+      concede_quarantined();
+      if (lease_.all_settled()) break;
+
+      // Deterministic lease-expiry fault: expire the first live lease.
+      if (XTV_INJECT_FAULT(FaultSite::kLeaseExpiry)) {
+        for (auto& h : holders_)
+          if (!h->dead && h->unit != kNoUnit) {
+            expire(*h, "fault injection");
+            break;
+          }
+      }
+
+      // Graceful degradation: with every holder gone, the remaining
+      // victims run locally in-process — slower, but every victim still
+      // settles with an explicit status.
+      if (std::none_of(holders_.begin(), holders_.end(),
+                       [](const auto& h) { return !h->dead; })) {
+        run_rest_locally();
+        break;
+      }
+
+      assign(mono_ms());
+      poll_holders();
+      supervise(mono_ms());
       if (cb_.on_tick) cb_.on_tick();
-      const auto now = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < live_.size(); ++i) {
-        Worker& w = *live_[i];
-        if (rc > 0 && (fds[i].revents & (POLLIN | POLLHUP | POLLERR)))
-          w.eof = pump(w);
-        if (!w.eof && !w.killed_for_stall && stall_ms > 0 &&
-            ms_between(w.last_heard, now) > stall_ms) {
-          logf(LogLevel::kWarn,
-               "shard worker %d silent for >%.0f ms; presuming wedged and "
-               "killing it",
-               static_cast<int>(w.pid), stall_ms);
-          w.killed_for_stall = true;
-          ::kill(w.pid, SIGKILL);
-        }
-      }
-      // Detach EOFed workers first (finish_worker may spawn replacements,
-      // which must not be classified against this round's pollfds).
-      std::vector<std::unique_ptr<Worker>> done;
-      for (auto it = live_.begin(); it != live_.end();) {
-        if ((*it)->eof) {
-          done.push_back(std::move(*it));
-          it = live_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (auto& w : done) finish_worker(std::move(w));
     }
+    stats_.lease = lease_.stats();
+    if (insurance_) insurance_->flush();
+    if (stats) *stats = stats_;
     return std::move(results_);
   }
 
  private:
-  void spawn(std::vector<std::size_t> victims, std::size_t restarts,
-             bool bound_only, bool quarantine_retry) {
-    if (victims.empty()) return;
-    subprocess::Pipe pipe;
-    try {
-      pipe = subprocess::make_pipe();
-    } catch (const std::exception& e) {
-      for (std::size_t v : victims)
-        concede_now(v, std::string("pipe creation failed: ") + e.what());
-      return;
+  void adopt(HolderLink link) {
+    auto h = std::make_unique<Holder>();
+    h->link = std::move(link);
+    h->opened_ms = h->last_heard = mono_ms();
+    if (h->link.fd < 0) {
+      logf(LogLevel::kWarn, "holder %s unavailable", h->link.id.c_str());
+      h->dead = true;
+      ++stats_.workers_lost;
     }
-    const std::size_t index = spawn_counter_;
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      ::close(pipe.read_fd);
-      for (const auto& w : live_)
-        if (w->fd >= 0) ::close(w->fd);
-      worker_main(pipe.write_fd, index, victims, bound_only, cb_, opt_);
-    }
-    if (pid < 0) {
-      ::close(pipe.read_fd);
-      ::close(pipe.write_fd);
-      for (std::size_t v : victims) concede_now(v, "fork failed");
-      return;
-    }
-    ++spawn_counter_;
-    if (stats_) stats_->workers_spawned = spawn_counter_;
-    ::close(pipe.write_fd);
-    subprocess::set_nonblocking(pipe.read_fd);
-    auto w = std::make_unique<Worker>();
-    w->pid = pid;
-    w->fd = pipe.read_fd;
-    w->spawn_index = index;
-    w->restarts = restarts;
-    w->pending = std::move(victims);
-    w->bound_only = bound_only;
-    w->quarantine_retry = quarantine_retry;
-    w->last_heard = std::chrono::steady_clock::now();
-    live_.push_back(std::move(w));
+    holders_.push_back(std::move(h));
   }
 
-  /// Drains the worker's pipe into its decoder. Returns true on EOF.
-  bool pump(Worker& w) {
-    char buf[65536];
-    for (;;) {
-      const ssize_t n = ::read(w.fd, buf, sizeof(buf));
-      if (n > 0) {
-        w.decoder.feed(buf, static_cast<std::size_t>(n));
-        WireFrame f;
-        while (w.decoder.next(&f)) handle_frame(w, f);
-        if (w.decoder.corrupt() && !w.killed_for_corruption) {
-          w.killed_for_corruption = true;
-          ::kill(w.pid, SIGKILL);
-        }
-        continue;
-      }
-      if (n == 0) return true;
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
-      return true;  // unexpected read error: treat like worker death
-    }
-  }
-
-  void handle_frame(Worker& w, const WireFrame& f) {
-    w.last_heard = std::chrono::steady_clock::now();
-    switch (f.type) {
-      case WireType::kHello:
-      case WireType::kHeartbeat:
-        break;
-      case WireType::kVictimStart: {
-        std::size_t v = 0;
-        if (!parse_index(f.payload, &v)) break;
-        w.in_flight = static_cast<long long>(v);
-        if (kill_hook_.armed && kill_hook_.remaining > 0 &&
-            v == kill_hook_.victim) {
-          --kill_hook_.remaining;
-          ::kill(w.pid, SIGKILL);
-        }
-        break;
-      }
-      case WireType::kVictimSkipped: {
-        std::size_t v = 0;
-        if (!parse_index(f.payload, &v)) break;
-        settle(w, v);
-        break;
-      }
-      case WireType::kVictimDone: {
-        JournalRecord rec;
-        if (!journal_decode(f.payload, rec)) {
-          // Checksummed frame carrying an undecodable record: the worker's
-          // memory is suspect — same treatment as stream corruption.
-          if (!w.killed_for_corruption) {
-            w.killed_for_corruption = true;
-            ::kill(w.pid, SIGKILL);
-          }
-          break;
-        }
-        const std::size_t v = rec.finding.net;
-        if (w.bound_only) stamp_concession(rec);
-        results_[v] = std::move(rec);
-        publish(results_[v]);
-        settle(w, v);
-        break;
-      }
-      case WireType::kShardDone:
-        w.shard_done = true;
-        break;
-      default:
-        break;  // serve-protocol types never originate from shard workers
-    }
-  }
-
-  /// Streams a just-finalized record to the caller's listener (if any).
-  void publish(const JournalRecord& rec) {
+  void settle(const JournalRecord& rec) {
+    results_[rec.finding.net] = rec;
+    if (insurance_) insurance_->append(rec);
     if (cb_.on_result) cb_.on_result(rec);
   }
 
-  void settle(Worker& w, std::size_t v) {
-    w.pending.erase(std::remove(w.pending.begin(), w.pending.end(), v),
-                    w.pending.end());
-    if (w.in_flight == static_cast<long long>(v)) w.in_flight = -1;
-  }
-
-  void finish_worker(std::unique_ptr<Worker> w) {
-    ::close(w->fd);
-    w->fd = -1;
-    subprocess::ExitStatus st;
-    subprocess::wait_for(w->pid, &st);
-    std::string reason;
-    if (w->killed_for_stall) {
-      reason = "heartbeat silence (worker presumed wedged; killed)";
-    } else if (w->killed_for_corruption) {
-      reason = "wire stream corruption";
-    } else if (!st.clean()) {
-      reason = st.describe();
-    } else if (!w->shard_done || !w->pending.empty()) {
-      reason = "worker exited without completing its shard";
-    } else {
-      return;  // clean completion
-    }
-    handle_crash(*w, reason);
-  }
-
-  void handle_crash(Worker& w, const std::string& reason) {
-    if (stats_) ++stats_->worker_crashes;
-    std::vector<std::size_t> remaining = w.pending;
-    long long suspect = -1;
-
-    // The shard journal outlives the worker: recover records it appended
-    // but never streamed, and read its crash marker for attribution.
-    if (!opt_.journal_path.empty()) {
-      const auto prior = ResultJournal::load(
-          journal_shard_path(opt_.journal_path, w.spawn_index));
-      for (const auto& rec : prior.records) {
-        const std::size_t v = rec.finding.net;
-        const auto it = std::find(remaining.begin(), remaining.end(), v);
-        if (it == remaining.end()) continue;
-        JournalRecord merged = rec;
-        if (w.bound_only) stamp_concession(merged);
-        results_[v] = std::move(merged);
-        publish(results_[v]);
-        remaining.erase(it);
-      }
-      for (const auto& m : prior.crash_markers)
-        if (m.victim != subprocess::kNoCrashVictim)
-          suspect = static_cast<long long>(m.victim);
-    }
-    if (suspect < 0) suspect = w.in_flight;  // last victim-start frame
-    if (suspect >= 0 &&
-        std::find(remaining.begin(), remaining.end(),
-                  static_cast<std::size_t>(suspect)) == remaining.end())
-      suspect = -1;  // already accounted for; cannot be the culprit
-
-    logf(LogLevel::kWarn,
-         "shard worker %d (spawn %zu%s) died: %s; suspect victim %lld, %zu "
-         "victim(s) outstanding",
-         static_cast<int>(w.pid), w.spawn_index,
-         w.bound_only ? ", bound-only"
-                      : (w.quarantine_retry ? ", quarantine retry" : ""),
-         reason.c_str(), suspect, remaining.size());
-
-    if (w.bound_only) {
-      // Rung 4: even the conservative-bound process died. Synthesize the
-      // suspect's record in-supervisor and respawn for the rest.
-      if (suspect >= 0) {
-        const std::size_t v = static_cast<std::size_t>(suspect);
-        concede_now(v, reason_for(v) + "; conservative-bound computation "
-                                       "also crashed (" +
-                           reason + ")");
-        remaining.erase(std::remove(remaining.begin(), remaining.end(), v),
-                        remaining.end());
-      } else {
-        for (std::size_t v : remaining)
-          concede_now(v, reason_for(v) + "; conservative-bound computation "
-                                         "also crashed (" +
-                             reason + ")");
-        remaining.clear();
-      }
-      spawn(std::move(remaining), w.restarts, /*bound_only=*/true,
-            /*quarantine_retry=*/false);
-      return;
-    }
-
-    if (w.quarantine_retry) {
-      // Rung 3: the solo fresh-process retry crashed too. Concede through
-      // a bound-only process; the stamp rewrites its records.
-      for (std::size_t v : remaining)
-        concede_reason_[v] =
-            "worker process crashed twice analyzing this victim (" + reason +
-            ")";
-      spawn(std::move(remaining), w.restarts, /*bound_only=*/true,
-            /*quarantine_retry=*/false);
-      return;
-    }
-
-    // Rungs 1/2: quarantine the suspect into a solo fresh process and
-    // restart the rest of the shard against its restart budget.
-    if (suspect >= 0) {
-      const std::size_t v = static_cast<std::size_t>(suspect);
-      concede_reason_[v] =
-          "worker process crashed analyzing this victim (" + reason + ")";
-      if (stats_) ++stats_->victims_quarantined;
-      remaining.erase(std::remove(remaining.begin(), remaining.end(), v),
-                      remaining.end());
-      spawn({v}, w.restarts, /*bound_only=*/false, /*quarantine_retry=*/true);
-    }
-    if (remaining.empty()) return;
-    if (w.restarts >= opt_.max_shard_restarts) {
+  void concede_quarantined() {
+    for (std::size_t v : lease_.take_quarantined()) {
       logf(LogLevel::kWarn,
-           "shard restart budget (%zu) exhausted; conceding %zu victim(s) to "
-           "the conservative bound",
-           opt_.max_shard_restarts, remaining.size());
-      for (std::size_t v : remaining)
-        concede_reason_[v] =
-            "shard restart budget exhausted after repeated worker crashes (" +
-            reason + ")";
-      spawn(std::move(remaining), w.restarts, /*bound_only=*/true,
-            /*quarantine_retry=*/false);
-    } else {
-      if (stats_) ++stats_->shard_restarts;
-      spawn(std::move(remaining), w.restarts + 1, /*bound_only=*/false,
-            /*quarantine_retry=*/false);
+           "victim %zu quarantined; conceding to its conservative bound", v);
+      auto rec = cb_.analyze(v, /*bound_only=*/true);
+      if (!rec) continue;  // ineligible victim: no record, like a skip
+      stamp_concession(*rec);
+      settle(*rec);
     }
   }
 
-  /// Rewrites a bound-only worker's record into the concession contract:
-  /// the conservative peak stands, the status says why it was conceded.
-  void stamp_concession(JournalRecord& rec) {
-    rec.screened = false;
-    rec.finding.status = FindingStatus::kShardCrashed;
-    rec.finding.error_code = StatusCode::kWorkerCrashed;
-    rec.finding.error =
-        "conceded to conservative bound: " + reason_for(rec.finding.net);
+  void run_rest_locally() {
+    concede_quarantined();
+    const std::vector<std::size_t> rest = lease_.drain_remaining();
+    if (!rest.empty())
+      logf(LogLevel::kWarn,
+           "all %zu holders lost; analyzing %zu victims locally",
+           holders_.size(), rest.size());
+    for (std::size_t v : rest) {
+      ++stats_.victims_local;
+      if (auto rec = cb_.analyze(v, /*bound_only=*/false)) settle(*rec);
+      if (cb_.on_tick) cb_.on_tick();
+    }
   }
 
-  std::string reason_for(std::size_t victim) const {
-    const auto it = concede_reason_.find(victim);
-    return it != concede_reason_.end()
-               ? it->second
-               : std::string("worker process crashed repeatedly");
+  /// Drops a holder for good. Its leases fail. It is replaced, when the
+  /// fleet can grow, only if it had sent its ready frame — a crash at
+  /// startup must not become a fork loop — and its loss failed a lease
+  /// (held, or expired on probation), so the lease attempt budget bounds
+  /// the respawns. Iterates nothing: callers index holders_, which this
+  /// may extend.
+  void lose(Holder& h, const char* why) {
+    if (h.dead) return;
+    logf(LogLevel::kWarn, "holder %s lost (%s)", h.link.id.c_str(), why);
+    const bool charged = h.unit != kNoUnit || h.probation_since >= 0.0;
+    fleet_.close(h.link);
+    h.dead = true;
+    h.unit = kNoUnit;
+    lease_.fail_holder(h.link.id, mono_ms());
+    ++stats_.workers_lost;
+    if (h.ready && charged && !lease_.all_settled()) {
+      HolderLink fresh = fleet_.replace();
+      if (fresh.fd >= 0) adopt(std::move(fresh));
+    }
   }
 
-  /// Last resort: a record synthesized by the supervisor itself.
-  void concede_now(std::size_t victim, const std::string& why) {
-    logf(LogLevel::kWarn,
-         "victim %zu: synthesizing pessimistic record in supervisor: %s",
-         victim, why.c_str());
-    results_[victim] = cb_.concede(victim, why);
-    publish(results_[victim]);
+  void expire(Holder& h, const char* why) {
+    logf(LogLevel::kWarn, "holder %s lease expired (%s)", h.link.id.c_str(),
+         why);
+    lease_.fail_holder(h.link.id, mono_ms());
+    h.unit = kNoUnit;
+    if (h.probation_since < 0.0) h.probation_since = mono_ms();
+    ++stats_.lease_expiries;
   }
 
+  /// Hands the lowest ready unit to each idle, admitted holder.
+  void assign(double now) {
+    for (std::size_t i = 0; i < holders_.size(); ++i) {
+      Holder& h = *holders_[i];
+      if (h.dead || !h.ready || h.probation_since >= 0.0 || h.unit != kNoUnit)
+        continue;
+      LeaseAssignment a;
+      if (!lease_.acquire(h.link.id, now, &a)) break;  // nothing ready
+      h.unit = a.unit;
+      h.attempt = a.attempt;
+      if (kill_hook_.fires(h.link, a.victims)) {
+        ::kill(h.link.pid, SIGKILL);  // surfaces as EOF in poll_holders()
+        continue;
+      }
+      std::ostringstream out;
+      out << a.unit << " " << a.attempt;
+      for (std::size_t v : a.victims) out << " " << v;
+      if (XTV_INJECT_FAULT(FaultSite::kRemoteSend) ||
+          !send_frame(h.link.fd, WireType::kUnitAssign, out.str()))
+        lose(h, "assign write failed");
+    }
+  }
+
+  void poll_holders() {
+    std::vector<pollfd> fds;
+    std::vector<Holder*> polled;
+    for (auto& h : holders_) {
+      if (h->dead) continue;
+      fds.push_back({h->link.fd, POLLIN, 0});
+      polled.push_back(h.get());
+    }
+    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      Holder& h = *polled[i];
+      if (h.dead || !(fds[i].revents & (POLLIN | POLLHUP | POLLERR)))
+        continue;
+      if (XTV_INJECT_FAULT(FaultSite::kRemoteRecv)) {
+        lose(h, "injected read fault");
+        continue;
+      }
+      char buf[65536];
+      const ssize_t n = ::read(h.link.fd, buf, sizeof buf);
+      if (n == 0) {
+        lose(h, "connection closed");
+        continue;
+      }
+      if (n < 0) {
+        if (errno != EINTR && errno != EAGAIN) lose(h, "read error");
+        continue;
+      }
+      h.decoder.feed(buf, static_cast<std::size_t>(n));
+      WireFrame frame;
+      while (!h.dead && h.decoder.next(&frame)) handle_frame(h, frame);
+      if (!h.dead && h.decoder.corrupt()) lose(h, "corrupt stream");
+    }
+  }
+
+  void handle_frame(Holder& h, const WireFrame& f) {
+    h.last_heard = mono_ms();
+    h.probation_since = -1.0;  // any verified frame re-admits the holder
+    std::istringstream in(f.payload);
+    switch (f.type) {
+      case WireType::kWorkerReady: {
+        std::string hex, pid;
+        in >> hex >> pid;
+        std::uint64_t theirs = 0;
+        if (!parse_u64(hex, &theirs, 16) || theirs != opt_.options_hash) {
+          // A TCP worker validates first, so this means a broken holder.
+          lose(h, "ready-frame hash mismatch");
+          return;
+        }
+        h.ready = true;
+        ++stats_.workers_connected;
+        logf(LogLevel::kInfo, "holder %s ready (pid %s)", h.link.id.c_str(),
+             pid.c_str());
+        return;
+      }
+      case WireType::kWorkerReject: {
+        std::string reason, detail;
+        in >> reason >> detail;
+        logf(LogLevel::kWarn, "holder %s refused the job: %s %s",
+             h.link.id.c_str(), reason.c_str(), detail.c_str());
+        ++stats_.workers_rejected;
+        lose(h, "typed rejection");
+        return;
+      }
+      case WireType::kUnitResult: {
+        std::string ustr, astr, tag;
+        in >> ustr >> astr >> tag;
+        std::size_t unit = 0, attempt = 0;
+        if (!parse_size(ustr, &unit) || !parse_size(astr, &attempt)) return;
+        if (tag == "r") {
+          std::string payload;
+          std::getline(in, payload);
+          if (!payload.empty() && payload.front() == ' ') payload.erase(0, 1);
+          JournalRecord rec;
+          if (!journal_decode(payload, rec)) {
+            lose(h, "undecodable result payload");
+            return;
+          }
+          // Frames from lapsed leases are counted by the lease table
+          // (LeaseTableStats::stale_frames) and dropped here.
+          if (lease_.result(unit, attempt, rec.finding.net) ==
+              LeaseVerdict::kAccepted)
+            settle(rec);
+        } else if (tag == "s") {
+          std::string vstr;
+          in >> vstr;
+          std::size_t victim = 0;
+          // kAccepted: ineligible victim — settled with no record, the
+          // exact in-process semantics of a skipped victim.
+          if (parse_size(vstr, &victim)) lease_.result(unit, attempt, victim);
+        }
+        return;
+      }
+      case WireType::kUnitDone: {
+        std::string ustr, astr;
+        in >> ustr >> astr;
+        std::size_t unit = 0, attempt = 0;
+        if (!parse_size(ustr, &unit) || !parse_size(astr, &attempt)) return;
+        lease_.complete(unit, attempt, mono_ms());
+        if (h.unit == unit && h.attempt == attempt) h.unit = kNoUnit;
+        return;
+      }
+      default:
+        return;  // kHeartbeat, or a type no holder sends: nothing to do
+    }
+  }
+
+  /// Heartbeat silence past 10x the period expires the holder's leases but
+  /// keeps the link — a healed partition re-admits it on the next frame.
+  /// Silence through a second window means it is wedged for good; holding
+  /// its poll slot any longer helps nobody.
+  void supervise(double t) {
+    const double limit = 10.0 * opt_.heartbeat_ms;
+    for (std::size_t i = 0; i < holders_.size(); ++i) {
+      Holder& h = *holders_[i];
+      if (h.dead) continue;
+      if (!h.ready) {
+        if (t - h.opened_ms > opt_.setup_timeout_ms) lose(h, "setup timeout");
+        continue;
+      }
+      if (opt_.heartbeat_ms <= 0.0 || t - h.last_heard <= limit) continue;
+      if (h.probation_since < 0.0) {
+        expire(h, "heartbeat silence");
+      } else if (t - h.probation_since > limit) {
+        lose(h, "silent through probation");
+      }
+    }
+  }
+
+  HolderFleet& fleet_;
+  const CoordinatorOptions& opt_;
   const ShardCallbacks& cb_;
-  const ShardExecOptions& opt_;
-  ShardExecStats* stats_;
-  KillOnStartHook kill_hook_;
-  std::vector<std::unique_ptr<Worker>> live_;
+  LeaseTable lease_;
+  KillOnGrantHook kill_hook_;
+  std::unique_ptr<ResultJournal> insurance_;
+  std::vector<std::unique_ptr<Holder>> holders_;
   std::map<std::size_t, JournalRecord> results_;
-  /// victim -> crash description, recorded when the quarantine ladder
-  /// decides a victim will be conceded (consumed by stamp_concession).
-  std::map<std::size_t, std::string> concede_reason_;
-  std::size_t spawn_counter_ = 0;
+  CoordinatorStats stats_;
 };
 
 }  // namespace
 
+std::map<std::size_t, JournalRecord> run_leases(
+    const std::vector<std::size_t>& work, HolderFleet& fleet,
+    const CoordinatorOptions& options, const ShardCallbacks& callbacks,
+    CoordinatorStats* stats) {
+  Coordinator coordinator(work, fleet, options, callbacks);
+  return coordinator.run(stats);
+}
+
 std::map<std::size_t, JournalRecord> run_process_shards(
-    const std::vector<std::size_t>& work, const ShardCallbacks& callbacks,
-    const ShardExecOptions& options, ShardExecStats* stats) {
-  ShardSupervisor supervisor(callbacks, options, stats);
-  return supervisor.run(work);
+    const std::vector<std::size_t>& work, std::size_t processes,
+    const CoordinatorOptions& options, const ShardCallbacks& callbacks,
+    CoordinatorStats* stats) {
+  ForkedFleet fleet(std::min(processes, work.size()), options, callbacks);
+  return run_leases(work, fleet, options, callbacks, stats);
+}
+
+void serve_units(
+    int fd, WireDecoder& decoder,
+    const std::function<std::optional<JournalRecord>(std::size_t victim)>&
+        analyze,
+    double heartbeat_ms) {
+  WireWriter writer(fd);
+  Heartbeat heartbeat(writer, heartbeat_ms);
+  const CrashHook crash = CrashHook::from_env();
+  const std::size_t crash_unit =
+      env_size("XTV_TEST_WORKER_CRASH_UNIT", kNoUnit);
+  // One stall per loop: the partitioned-then-healed holder must make
+  // progress after it wakes, or the heal is untestable.
+  std::size_t stall_ms = env_size("XTV_TEST_WORKER_STALL_MS", 0);
+  const std::size_t drop_every = env_size("XTV_TEST_DROP_FRAME_EVERY", 0);
+  std::size_t results_sent = 0;
+
+  for (;;) {
+    WireFrame frame;
+    while (decoder.next(&frame)) {
+      if (frame.type != WireType::kUnitAssign) continue;
+      std::istringstream in(frame.payload);
+      std::string ustr, astr;
+      in >> ustr >> astr;
+      std::size_t unit = 0, attempt = 0;
+      if (!parse_size(ustr, &unit) || !parse_size(astr, &attempt)) continue;
+      if (unit == crash_unit) {
+        logf(LogLevel::kWarn, "holder: TEST crash on unit %zu", unit);
+        ::_exit(42);
+      }
+      if (stall_ms > 0) {
+        const double until = mono_ms() + static_cast<double>(stall_ms);
+        heartbeat.stall_until(until);
+        while (mono_ms() < until)
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        stall_ms = 0;
+      }
+      const std::string prefix =
+          std::to_string(unit) + " " + std::to_string(attempt);
+      std::size_t streamed = 0;
+      for (std::string vstr; in >> vstr;) {
+        std::size_t victim = 0;
+        if (!parse_size(vstr, &victim)) continue;
+        crash.maybe_crash(victim);
+        std::optional<JournalRecord> rec;
+        try {
+          rec = analyze(victim);
+        } catch (...) {
+          // analyze() contractually absorbs analysis failures; an escape
+          // means this process is no longer trustworthy — die loudly so
+          // the coordinator fails the lease.
+          std::abort();
+        }
+        const std::string payload =
+            rec ? prefix + " r " + journal_encode(*rec)
+                : prefix + " s " + std::to_string(victim);
+        if (drop_every > 0 && ++results_sent % drop_every == 0) continue;
+        if (!writer.send(WireType::kUnitResult, payload)) return;
+        ++streamed;
+      }
+      if (!writer.send(WireType::kUnitDone,
+                       prefix + " " + std::to_string(streamed)))
+        return;
+    }
+    if (decoder.corrupt()) return;
+    char buf[65536];
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n == 0) return;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return;
+    }
+    decoder.feed(buf, static_cast<std::size_t>(n));
+  }
 }
 
 }  // namespace xtv

@@ -1,37 +1,59 @@
-// Process-isolated shard execution for chip verification (DESIGN.md §12).
+// Out-of-process victim execution: one lease coordinator for every
+// backend that runs victims outside the caller's process (DESIGN.md §12,
+// §14).
 //
-// The in-process thread pool (core/parallel.h) shares one address space:
+// The in-process thread pool (util/thread_pool.h) shares one address space:
 // a single SIGSEGV in a numerical kernel — or an OOM kill — forfeits the
-// whole run. For multi-hour chip audits the verifier can instead fork N
-// worker *processes*, each assigned a contiguous shard of the eligible
-// victims. Fork-without-exec means every worker inherits the fully built
-// design, extractor, and characterization tables — no serialization of
-// the assignment is needed — and runs the existing per-victim pipeline
-// unchanged, streaming findings and heartbeats back over a checksummed
-// pipe (core/wire.h) while appending to its own crash-safe shard journal
-// (`<journal>.shard<k>`).
+// whole run. The out-of-process backends move the blast radius from the
+// run to the victim. Both run the same coordinator loop, run_leases():
 //
-// The supervisor owns the failure policy — the quarantine ladder:
+//   holders     each holder is one connection carrying xwf1 frames
+//               (core/wire.h) to a process that analyzes leased units:
+//               a forked child of the coordinator (run_process_shards,
+//               `--processes N`, one victim per unit) or a TCP xtv_worker
+//               (serve/remote.h, `--workers`). A holder announces itself
+//               with kWorkerReady "<options hash> <pid>" and then serves
+//               kUnitAssign -> kUnitResult* + kUnitDone, heartbeating.
+//   policy      the lease table (core/lease.h) is the only failure
+//               policy: a holder that dies, drops its connection, corrupts
+//               its stream, or goes silent for 10 heartbeat periods fails
+//               its lease; the unit is retried elsewhere after a backoff,
+//               and a unit that failed under two distinct holders (or
+//               spent its attempts) is conceded in the coordinator —
+//               Prepared::analyze(v, /*bound_only=*/true), stamped
+//               FindingStatus::kShardCrashed / StatusCode::kWorkerCrashed.
+//               Because forked units hold one victim, a holder's death
+//               charges exactly the victim it held.
+//   replacement a forked holder lost after its ready frame, with a lease
+//               failed by the loss, is replaced by a fresh fork — so the
+//               lease attempt budget bounds the respawns; a holder lost
+//               before its ready frame is not, so a crash at startup
+//               cannot become a fork loop. TCP workers are never
+//               replaced. With every holder lost, the remaining victims
+//               run locally in the coordinator.
+//   insurance   accepted records are appended to `<journal>.shard0`
+//               (flush-every-1), so a killed coordinator resumes without
+//               redoing settled victims; verify() folds and retires it.
 //
-//   1. A worker dies (signal, nonzero exit, heartbeat silence, or wire
-//      corruption). The in-flight victim is identified from the journal
-//      crash marker, falling back to the last victim-start frame.
-//   2. That suspect victim is *quarantined*: retried alone in a fresh
-//      process. The rest of the shard restarts in another fresh process,
-//      consuming one unit of the shard's restart budget.
-//   3. If the solo retry crashes too, the victim is *conceded*: a
-//      bound-only process computes its conservative Devgan bound and the
-//      supervisor stamps the record FindingStatus::kShardCrashed.
-//   4. If even the bound-only process dies, the supervisor synthesizes a
-//      maximally pessimistic record (peak = Vdd) itself — pure struct
-//      assembly, nothing left to crash.
-//
-// A shard whose restart budget is exhausted has its remaining victims
-// conceded through the same rung-3/4 path. Either way every victim is
-// accounted for exactly once, and a crash-free multi-process run merges
+// Every victim is accounted for exactly once, and a crash-free run merges
 // to a result bit-identical to the serial one (findings travel as
 // hexfloat journal payloads end to end).
+//
+// Test hooks (env, all off in production):
+//   Holder side (serve_units, so forked holders and xtv_worker alike):
+//     XTV_TEST_CRASH_VICTIM=<net>       crash on reaching <net>
+//     XTV_TEST_CRASH_MODE=abort|segv|fpe|exit42   (default abort)
+//     XTV_TEST_CRASH_ONCE_FILE=<path>   crash only while <path> is absent
+//     XTV_TEST_WORKER_CRASH_UNIT=<id>   _exit(42) on that unit's assign
+//     XTV_TEST_WORKER_STALL_MS=<ms>     stall (heartbeats suppressed)
+//                                       before the first unit
+//     XTV_TEST_DROP_FRAME_EVERY=<n>     drop every n-th kUnitResult
+//   Coordinator side:
+//     XTV_TEST_SHARD_KILL_ON_START=<net>:<n>  SIGKILL the forked holder
+//         just granted <net>'s unit, up to <n> times
 #pragma once
+
+#include <sys/types.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -42,83 +64,112 @@
 #include <vector>
 
 #include "core/journal.h"
+#include "core/lease.h"
+#include "core/wire.h"
 
 namespace xtv {
 
-struct ShardExecOptions {
-  /// Worker processes to fork (>= 1; the caller gates the 0 case).
-  std::size_t processes = 2;
-  /// Worker heartbeat period (ms). Silence for 10x this long SIGKILLs the
-  /// worker and routes it through the crash ladder. 0 disables stall
-  /// monitoring (death is still seen as pipe EOF).
-  double heartbeat_ms = 250.0;
-  /// Worker restarts a shard may consume before its remaining victims are
-  /// conceded to the conservative bound.
-  std::size_t max_shard_restarts = 2;
-  /// Base journal path; workers write `<base>.shard<k>` (empty = workers
-  /// stream only, no shard journals — crash attribution then relies on
-  /// victim-start frames alone).
-  std::string journal_path;
-  /// Options hash stamped into every shard journal header.
-  std::uint64_t options_hash = 0;
-};
-
-struct ShardExecStats {
-  std::size_t worker_crashes = 0;       ///< deaths: signal/exit/stall/corruption
-  std::size_t shard_restarts = 0;       ///< shard respawns after a crash
-  std::size_t victims_quarantined = 0;  ///< solo fresh-process retries
-  /// Total workers spawned == number of `<base>.shard<k>` files written
-  /// (k is the spawn index); the caller unlinks [0, spawned) after the
-  /// merged journal is finalized.
-  std::size_t workers_spawned = 0;
-};
-
-/// Hooks the verifier passes in so this module stays ignorant of the
+/// Hooks the verifier passes in so the executors stay ignorant of the
 /// analysis pipeline.
 struct ShardCallbacks {
-  /// WORKER side: analyze one victim. `bound_only` requests the cheap
-  /// conservative Devgan bound (concession rung). Returns nullopt when the
-  /// victim turns out ineligible (no retained aggressors). Must catch its
-  /// own analysis exceptions (returning a kFailed record) — an escaping
-  /// exception is a worker crash.
+  /// Analyze one victim. `bound_only` requests the conservative Devgan
+  /// bound (the concession). Returns nullopt when the victim turns out
+  /// ineligible (no retained aggressors). Must catch its own analysis
+  /// exceptions (returning a kFailed record) — an escaping exception is a
+  /// holder crash.
   std::function<std::optional<JournalRecord>(std::size_t victim,
                                              bool bound_only)> analyze;
-  /// WORKER side, once per fork, before the victim loop: per-process setup
-  /// (RSS watchdog, FP traps). May be null.
+  /// Forked holders, once per fork before the unit loop: per-process setup
+  /// (the RSS watchdog). May be null.
   std::function<void()> worker_init;
-  /// SUPERVISOR side: synthesize the last-resort pessimistic record for a
-  /// victim whose bound-only process also died (peak = Vdd). Must be pure
-  /// struct assembly — it cannot be allowed to fail.
-  std::function<JournalRecord(std::size_t victim, const std::string& why)>
-      concede;
-  /// SUPERVISOR side, optional: invoked with each record the moment it
-  /// becomes final (streamed, journal-recovered, concession-stamped, or
-  /// synthesized) — settle order, not stable net order. Runs on the
-  /// supervisor thread, serialized. Must not throw; the serve daemon uses
-  /// it to stream findings per-victim while the run is still going.
+  /// Coordinator side, optional: invoked with each record the moment it
+  /// settles (accepted, conceded, or run locally) — settle order, not
+  /// stable net order. Runs on the coordinator thread, serialized. Must
+  /// not throw; the serve daemon uses it to stream findings per-victim.
   std::function<void(const JournalRecord&)> on_result;
-  /// SUPERVISOR side, optional: liveness tick, once per poll-loop
-  /// iteration (~50 ms) while workers are live. Rate-limit in the callee.
+  /// Coordinator side, optional: liveness tick, once per poll-loop
+  /// iteration (~50 ms). Rate-limit in the callee.
   std::function<void()> on_tick;
 };
 
-/// Runs `work` (victim nets, in stable order) across forked worker
-/// processes and returns one record per victim, keyed by net. Records of
-/// conceded victims arrive stamped FindingStatus::kShardCrashed /
-/// StatusCode::kWorkerCrashed with the crash description in `error`.
-///
-/// The caller must be effectively single-threaded when this is invoked
-/// (fork duplicates only the calling thread; a live thread pool in the
-/// parent would leave locked mutexes behind in the children).
-///
-/// Test hooks (env, all off in production):
-///   XTV_TEST_CRASH_VICTIM=<net>        worker crashes on reaching <net>
-///   XTV_TEST_CRASH_MODE=abort|segv|fpe|exit42   (default abort)
-///   XTV_TEST_CRASH_ONCE_FILE=<path>    crash only while <path> is absent
-///   XTV_TEST_SHARD_KILL_ON_START=<net>:<times>  supervisor SIGKILLs the
-///       worker announcing victim-start for <net>, up to <times> times
+struct CoordinatorOptions {
+  /// Holder heartbeat period (ms, > 0). Silence for 10x this expires the
+  /// holder's leases; silence through another 10x window drops the
+  /// holder (a forked one is SIGKILLed and replaced).
+  double heartbeat_ms = 250.0;
+  /// Per-holder deadline (ms) for the ready frame (a TCP worker rebuilds
+  /// and characterizes the design before answering, so it is generous).
+  double setup_timeout_ms = 60000.0;
+  LeaseOptions lease;
+  /// Base journal path; accepted records are appended to `<base>.shard0`
+  /// (flush-every-1) as crash insurance. Empty = no insurance journal.
+  std::string journal_path;
+  /// Options-result hash every holder's ready frame must echo.
+  std::uint64_t options_hash = 0;
+};
+
+struct CoordinatorStats {
+  std::size_t workers_connected = 0;  ///< ready frames accepted
+  std::size_t workers_rejected = 0;   ///< typed kWorkerReject refusals
+  /// Holders dropped: death, EOF, read error, corrupt stream, silent
+  /// through probation, setup timeout, or unreachable at dial time.
+  std::size_t workers_lost = 0;
+  std::size_t lease_expiries = 0;     ///< heartbeat-silence lease failures
+  std::size_t victims_local = 0;      ///< all-holders-lost local fallback
+  LeaseTableStats lease;
+};
+
+/// One holder connection as the coordinator sees it.
+struct HolderLink {
+  std::string id;  ///< lease-holder identity: distinct per process and host
+  int fd = -1;     ///< bidirectional xwf1 stream; < 0 = could not be opened
+  pid_t pid = -1;  ///< a forked holder's pid (the kill-on-start hook's target)
+};
+
+/// Where the coordinator's holders come from.
+class HolderFleet {
+ public:
+  virtual ~HolderFleet() = default;
+  /// The initial holders. A link whose fd is < 0 counts as lost at once.
+  virtual std::vector<HolderLink> open() = 0;
+  /// Ends a holder's link for good (a forked holder is killed and reaped).
+  virtual void close(const HolderLink& link) = 0;
+  /// A fresh holder in place of one lost after its ready frame; a link
+  /// with fd < 0 when the fleet cannot grow.
+  virtual HolderLink replace() { return {}; }
+};
+
+/// The coordinator loop: leases `work` (victim nets, stable order) to the
+/// fleet's holders until every victim settles, and returns one record per
+/// eligible victim, keyed by net. Records of conceded victims arrive
+/// stamped kShardCrashed / kWorkerCrashed. Never throws on holder
+/// failure.
+std::map<std::size_t, JournalRecord> run_leases(
+    const std::vector<std::size_t>& work, HolderFleet& fleet,
+    const CoordinatorOptions& options, const ShardCallbacks& callbacks,
+    CoordinatorStats* stats);
+
+/// run_leases over `processes` forked holders (fewer when `work` is
+/// smaller). Holders inherit the caller's address space — design,
+/// extractor, characterization, Prepared — by fork without exec, stay in
+/// the caller's process group, ignore SIGPIPE, and leave via _exit. The
+/// caller must be single-threaded when this is invoked: fork duplicates
+/// only the calling thread, and replacements fork mid-run.
 std::map<std::size_t, JournalRecord> run_process_shards(
-    const std::vector<std::size_t>& work, const ShardCallbacks& callbacks,
-    const ShardExecOptions& options, ShardExecStats* stats);
+    const std::vector<std::size_t>& work, std::size_t processes,
+    const CoordinatorOptions& options, const ShardCallbacks& callbacks,
+    CoordinatorStats* stats);
+
+/// The holder side of the lease protocol, shared by forked holders and
+/// xtv_worker: reads kUnitAssign frames from `fd` (frames already in
+/// `decoder` first), analyzes each victim, streams kUnitResult frames
+/// plus a closing kUnitDone, and heartbeats every `heartbeat_ms` from its
+/// own thread. Returns at EOF, on a write failure, or on a corrupt
+/// stream.
+void serve_units(
+    int fd, WireDecoder& decoder,
+    const std::function<std::optional<JournalRecord>(std::size_t victim)>&
+        analyze,
+    double heartbeat_ms);
 
 }  // namespace xtv

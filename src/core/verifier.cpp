@@ -351,19 +351,6 @@ std::optional<JournalRecord> ChipVerifier::Prepared::analyze(
   }
 }
 
-JournalRecord ChipVerifier::Prepared::concede(std::size_t victim,
-                                              const std::string& why) const {
-  JournalRecord rec;
-  rec.finding.net = victim;
-  rec.finding.status = FindingStatus::kShardCrashed;
-  rec.finding.error_code = StatusCode::kWorkerCrashed;
-  rec.finding.error = "conceded pessimistically: " + why;
-  rec.finding.peak = -impl_->vdd;
-  rec.finding.peak_fraction = 1.0;
-  rec.finding.violation = true;
-  return rec;
-}
-
 void ChipVerifier::Prepared::fill_cache_stats(
     VerificationReport* report) const {
   if (!impl_->model_cache) return;
@@ -392,11 +379,10 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
   report.prune_stats = prep.prune_result().stats;
   const std::vector<std::size_t>& candidates = prep.candidates();
 
-  // Remote fan-out (DESIGN.md §14) hands the sweep to the leased-unit
-  // scheduler; process-isolated execution (DESIGN.md §12) replaces the
-  // thread pool with forked worker processes. max_victims is defined by
-  // serial analysis order, which spans shard and unit boundaries — it
-  // forces the in-process path.
+  // Remote fan-out (DESIGN.md §14) and process-isolated execution
+  // (DESIGN.md §12) hand the sweep to the lease coordinator, over TCP
+  // workers or forked holders. max_victims is defined by serial analysis
+  // order, which spans unit boundaries — it forces the in-process path.
   const bool use_remote =
       options.remote_backend != nullptr && options.max_victims == 0;
   if (options.remote_backend && !use_remote)
@@ -436,10 +422,11 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
       }
       for (auto& rec : prior.records)
         journaled.insert_or_assign(rec.finding.net, std::move(rec));
-      // A killed process-mode supervisor leaves shard journals holding
-      // progress past the base journal; fold the intact, hash-matching
-      // ones in, then durably rewrite the base so a second crash cannot
-      // lose that progress.
+      // A killed process or remote coordinator leaves its insurance
+      // journal (<journal>.shard0; older builds wrote one per worker)
+      // holding progress past the base journal; fold the intact,
+      // hash-matching ones in, then durably rewrite the base so a second
+      // crash cannot lose that progress.
       bool folded = false;
       for (std::size_t k : journal_list_shards(options.journal_path)) {
         const std::string spath = journal_shard_path(options.journal_path, k);
@@ -469,10 +456,10 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
       for (std::size_t k : journal_list_shards(options.journal_path))
         ::unlink(journal_shard_path(options.journal_path, k).c_str());
     }
-    // In process and remote modes the workers (or the remote scheduler)
-    // append to shard journals and the parent writes the merged journal
-    // once, atomically, after the sweep — an open append handle here
-    // would alias the rename target.
+    // In process and remote modes the lease coordinator appends to its
+    // insurance journal and the parent writes the merged journal once,
+    // atomically, after the sweep — an open append handle here would
+    // alias the rename target.
     if (!use_processes && !use_remote)
       journal = std::make_unique<ResultJournal>(options.journal_path,
                                                 options.resume, ohash);
@@ -501,24 +488,23 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
   auto run_one = [&](std::size_t v) { emit(v, prep.analyze(v, false)); };
 
   // RSS watchdog for the duration of the sweep (no-op when disabled).
-  // Process mode must keep the parent single-threaded until the workers
-  // are forked (fork duplicates only the calling thread), so there each
-  // worker starts its own watchdog instead. The remote coordinator never
-  // forks, so it runs the watchdog itself — it may end up analyzing
-  // victims locally (concessions, the all-workers-dead fallback).
+  // Process mode must keep the coordinator single-threaded, because it
+  // forks holders (fork duplicates only the calling thread), so there
+  // each holder starts its own watchdog instead. The remote coordinator
+  // never forks, so it runs the watchdog itself — it may end up
+  // analyzing victims locally (concessions, the all-workers-lost
+  // fallback).
   std::optional<resource::RssWatchdog> watchdog;
   if (options.global_mem_soft_mb > 0.0 && !use_processes)
     watchdog.emplace(static_cast<std::size_t>(options.global_mem_soft_mb *
                                               1024.0 * 1024.0));
 
-  ShardExecStats shard_stats;
   if (use_processes || use_remote) {
     ShardCallbacks scb;
-    // Worker side. Identical semantics to run_one above, except the
-    // record is returned (streamed over the wire and shard-journaled by
-    // the executor) instead of being appended locally, and `bound_only`
-    // routes straight to the terminal Devgan-bound stage (the concession
-    // rung of the quarantine ladder).
+    // Holder side. Identical semantics to run_one above, except the record
+    // is returned (streamed over the wire and insurance-journaled by the
+    // coordinator) instead of being appended locally; `bound_only` routes
+    // straight to the terminal Devgan-bound stage (the concession).
     scb.analyze = [&](std::size_t v,
                       bool bound_only) -> std::optional<JournalRecord> {
       return prep.analyze(v, bound_only);
@@ -527,11 +513,6 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
       if (options.global_mem_soft_mb > 0.0)
         watchdog.emplace(static_cast<std::size_t>(options.global_mem_soft_mb *
                                                   1024.0 * 1024.0));
-    };
-    // Last-resort record when even the bound-only analysis died:
-    // maximally pessimistic (|peak| = Vdd), pure struct assembly.
-    scb.concede = [&](std::size_t v, const std::string& why) {
-      return prep.concede(v, why);
     };
     if (options.on_record)
       scb.on_result = [&](const JournalRecord& rec) {
@@ -548,20 +529,22 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
         }
       };
 
+    CoordinatorStats cstats;
     if (use_remote) {
-      fresh = options.remote_backend->run(work, scb, &shard_stats);
+      fresh = options.remote_backend->run(work, scb, &cstats);
     } else {
-      ShardExecOptions sopt;
-      sopt.processes = options.processes;
-      sopt.heartbeat_ms = options.shard_heartbeat_ms;
-      sopt.max_shard_restarts = options.max_shard_restarts;
-      sopt.journal_path = options.journal_path;
-      sopt.options_hash = ohash;
-      fresh = run_process_shards(work, scb, sopt, &shard_stats);
+      CoordinatorOptions copt;
+      copt.heartbeat_ms = options.shard_heartbeat_ms;
+      // One victim per unit: a holder's death charges exactly the victim
+      // it held.
+      copt.lease.unit_victims = 1;
+      copt.journal_path = options.journal_path;
+      copt.options_hash = ohash;
+      fresh = run_process_shards(work, options.processes, copt, scb, &cstats);
     }
-    report.worker_crashes = shard_stats.worker_crashes;
-    report.shard_restarts = shard_stats.shard_restarts;
-    report.victims_quarantined = shard_stats.victims_quarantined;
+    report.worker_crashes = cstats.workers_lost + cstats.lease_expiries;
+    report.shard_restarts = cstats.lease.reassignments;
+    report.victims_quarantined = cstats.lease.victims_charged;
   } else if (options.threads <= 1 || options.max_victims > 0) {
     // max_victims caps *analyzed* victims, which only a serial sweep
     // can define deterministically (the cap depends on each prior
@@ -670,9 +653,9 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
         recs.push_back(&it2->second);
     }
     ResultJournal::write_atomic(options.journal_path, recs, ohash);
-    // Retire every shard file on disk, not just [0, workers_spawned):
-    // non-contiguous leftovers from an older run would otherwise survive
-    // a fully successful run and be re-folded on the next resume.
+    // Retire every shard file on disk, not just .shard0: non-contiguous
+    // leftovers from an older run would otherwise survive a fully
+    // successful run and be re-folded on the next resume.
     for (std::size_t k : journal_list_shards(options.journal_path))
       ::unlink(journal_shard_path(options.journal_path, k).c_str());
   }

@@ -21,24 +21,24 @@
 
 namespace xtv {
 
-struct JournalRecord;    // core/journal.h (which includes this header)
-struct ShardCallbacks;   // core/shard_exec.h
-struct ShardExecStats;   // core/shard_exec.h
+struct JournalRecord;     // core/journal.h (which includes this header)
+struct ShardCallbacks;    // core/shard_exec.h
+struct CoordinatorStats;  // core/shard_exec.h
 
 /// Pluggable execution backend for the remote fan-out path (implemented
-/// by serve/remote.h RemoteExecutor; core stays ignorant of sockets).
-/// run() receives the un-journaled work list in stable net order plus the
-/// same ShardCallbacks the process-shard supervisor gets, and must return
-/// exactly one record per victim, keyed by net — the contract of
-/// run_process_shards. A backend that loses every worker is expected to
-/// finish the remainder locally through callbacks.analyze rather than
-/// dropping victims.
+/// by serve/remote.h RemoteExecutor over TCP; core stays ignorant of
+/// sockets). run() receives the un-journaled work list in stable net
+/// order plus the same ShardCallbacks the forked holders get, and must
+/// return exactly one record per eligible victim, keyed by net — the
+/// contract of run_leases (core/shard_exec.h), which it is expected to
+/// drive, so both out-of-process backends share one failure policy and
+/// one set of counters.
 class RemoteBackend {
  public:
   virtual ~RemoteBackend() = default;
   virtual std::map<std::size_t, JournalRecord> run(
       const std::vector<std::size_t>& work, const ShardCallbacks& callbacks,
-      ShardExecStats* stats) = 0;
+      CoordinatorStats* stats) = 0;
 };
 
 struct VerifierOptions {
@@ -84,32 +84,29 @@ struct VerifierOptions {
   /// Resume from journal_path: victims with an intact journal record are
   /// merged from it without re-analysis (a torn tail from the crash is
   /// discarded); the rest run normally. Requires journal_path, and the
-  /// journal's options-hash header must match the current options. In
-  /// process mode, leftover shard journals of a killed supervisor are
-  /// merged too.
+  /// journal's options-hash header must match the current options.
+  /// Leftover `<journal>.shard<k>` files of a killed lease coordinator
+  /// are merged too.
   bool resume = false;
 
   // --- Process-isolated shard execution (DESIGN.md §12) ---
 
-  /// Worker *processes* sharding the eligible victims (0 = in-process
-  /// path, i.e. the `threads` pool above). Each worker is forked, runs
-  /// its contiguous victim shard serially, streams findings back over a
-  /// checksummed pipe, and writes its own crash-safe shard journal — a
-  /// worker that dies on SIGSEGV/SIGKILL/abort loses nothing but its
-  /// in-flight victim, which is quarantined and retried in a fresh
-  /// process (see core/shard_exec.h). A clean multi-process run is
-  /// bit-identical to the serial one. Like `threads`, this is a pure
-  /// scheduling knob and is NOT part of options_result_hash;
-  /// max_victims > 0 forces the in-process serial path.
+  /// Forked holder *processes* analyzing the eligible victims (0 =
+  /// in-process path, i.e. the `threads` pool above). The lease
+  /// coordinator (core/shard_exec.h) leases one victim at a time to each
+  /// holder over a checksummed socket — a holder that dies on
+  /// SIGSEGV/SIGKILL/abort fails only the victim it held, which is
+  /// retried on another holder and conceded to its conservative bound
+  /// (FindingStatus::kShardCrashed) if that one dies too. A clean
+  /// multi-process run is bit-identical to the serial one. Like
+  /// `threads`, this is a pure scheduling knob and is NOT part of
+  /// options_result_hash; max_victims > 0 forces the in-process serial
+  /// path.
   std::size_t processes = 0;
-  /// Worker heartbeat period (ms). A worker silent for 10x this long is
-  /// presumed wedged, SIGKILLed, and handled as a crash (0 = stall
-  /// monitoring off; process death is still detected via pipe EOF).
+  /// Holder heartbeat period (ms, > 0). A holder silent for 10x this
+  /// long loses its lease; silent through another 10x window, it is
+  /// SIGKILLed and replaced.
   double shard_heartbeat_ms = 250.0;
-  /// Crash budget per shard: after this many worker restarts a shard's
-  /// remaining victims are conceded to the conservative bound
-  /// (FindingStatus::kShardCrashed) instead of respawning forever.
-  std::size_t max_shard_restarts = 2;
 
   // --- Remote fan-out (DESIGN.md §14; scheduling-only, NOT hashed) ---
 
@@ -127,15 +124,15 @@ struct VerifierOptions {
 
   /// Invoked once per settled eligible victim, with the record exactly as
   /// it is journaled/merged (after any concession stamping). In process
-  /// mode it runs serialized on the supervisor side; on the in-process
+  /// and remote modes it runs serialized on the coordinator; on the in-process
   /// path it runs on whichever worker thread finished the victim, so it
   /// must be thread-safe when threads > 1. Exceptions are swallowed — a
   /// broken listener must never fail the run. The serve daemon
   /// (src/serve) uses this to stream findings as they certify.
   std::function<void(const JournalRecord&)> on_record;
-  /// Liveness tick from the process-mode supervisor's poll loop (~50 ms
-  /// cadence while shard workers are live; never fires on the in-process
-  /// path). Rate-limit in the callback.
+  /// Liveness tick from the lease coordinator's poll loop (~50 ms cadence
+  /// in process and remote modes; never fires on the in-process path).
+  /// Rate-limit in the callback.
   std::function<void()> on_tick;
 
   // --- Resource governance: memory budgets and shedding (DESIGN.md §9) ---
@@ -228,7 +225,7 @@ enum class FindingStatus {
   // Appended after kFailed so serialized journal values stay stable.
   kCertified,           ///< MOR analysis with a PASSING accuracy certificate
   kAccuracyBound,       ///< certificate never passed (even escalated); Devgan bound
-  kShardCrashed,        ///< worker process died on this victim twice; Devgan bound
+  kShardCrashed,        ///< lease failed on 2 distinct holders; Devgan bound
 };
 
 inline const char* finding_status_name(FindingStatus s) {
@@ -326,11 +323,17 @@ struct VerificationReport {
   std::size_t victims_failed = 0;        ///< every ladder rung failed
   std::size_t victims_deadline_bound = 0;  ///< budget expired (subset of fallback)
   std::size_t victims_resource_bound = 0;  ///< memory budget/shed (subset of fallback)
-  /// Process-shard accounting (processes > 0 runs).
-  std::size_t victims_shard_crashed = 0;  ///< conceded after repeated worker death (subset of fallback)
-  std::size_t victims_quarantined = 0;    ///< isolated for a fresh-process retry
-  std::size_t worker_crashes = 0;         ///< worker deaths (signal, exit, stall, wire corruption)
-  std::size_t shard_restarts = 0;         ///< shard worker respawns after a crash
+  /// Lease-coordinator accounting (core/shard_exec.h), one definition
+  /// for both out-of-process backends (processes > 0 or a remote
+  /// backend):
+  ///   victims_shard_crashed  conceded victims (subset of fallback)
+  ///   victims_quarantined    victims whose lease failed at least once
+  ///   worker_crashes         holder deaths plus lease expiries
+  ///   shard_restarts         lease reassignments
+  std::size_t victims_shard_crashed = 0;
+  std::size_t victims_quarantined = 0;
+  std::size_t worker_crashes = 0;
+  std::size_t shard_restarts = 0;
   /// Certified-accuracy accounting (certify runs).
   std::size_t victims_certified = 0;       ///< passing certificate (subset of analyzed)
   std::size_t victims_accuracy_bound = 0;  ///< certificate never passed (subset of fallback)
@@ -372,7 +375,7 @@ class ChipVerifier {
   ChipVerifier(const Extractor& extractor, CharacterizedLibrary& chars);
 
   /// The per-run analysis engine, extracted from verify() so any
-  /// execution model — the in-process pool, forked shard workers, or a
+  /// execution model — the in-process pool, forked holders, or a
   /// remote xtv_worker that rebuilt the design from a job spec — drives
   /// the identical per-victim semantics. See the definition below.
   class Prepared;
@@ -429,16 +432,11 @@ class ChipVerifier::Prepared {
   double vdd() const;
 
   /// Analyzes one victim. `bound_only` routes straight to the terminal
-  /// conservative Devgan bound (the concession rung). Returns nullopt for
-  /// ineligible victims (no retained aggressor survives the filters);
-  /// never throws — any escaping failure becomes a kFailed record with
-  /// peak pessimistically at Vdd.
+  /// conservative Devgan bound (the lease coordinator's concession).
+  /// Returns nullopt for ineligible victims (no retained aggressor
+  /// survives the filters); never throws — any escaping failure becomes a
+  /// kFailed record with peak pessimistically at Vdd.
   std::optional<JournalRecord> analyze(std::size_t victim, bool bound_only);
-
-  /// The last-resort pessimistic record (peak = Vdd, kShardCrashed /
-  /// kWorkerCrashed) for a victim whose concession analysis itself died.
-  /// Pure struct assembly — cannot fail.
-  JournalRecord concede(std::size_t victim, const std::string& why) const;
 
   /// Copies the model-cache counters into the report (no-op when the
   /// cache is off).

@@ -54,11 +54,7 @@ std::uint64_t get_u64(const char* p) {
 const char* wire_type_name(WireType t) {
   switch (t) {
     case WireType::kHello: return "hello";
-    case WireType::kVictimStart: return "victim-start";
-    case WireType::kVictimDone: return "victim-done";
-    case WireType::kVictimSkipped: return "victim-skipped";
     case WireType::kHeartbeat: return "heartbeat";
-    case WireType::kShardDone: return "shard-done";
     case WireType::kJobSubmit: return "job-submit";
     case WireType::kJobAccepted: return "job-accepted";
     case WireType::kJobRejected: return "job-rejected";
@@ -138,7 +134,7 @@ bool WireWriter::send(WireType type, const std::string& payload) {
     } else if (w < 0 && errno == EINTR) {
       continue;
     } else {
-      return false;  // EPIPE: supervisor gone; worker should wind down
+      return false;  // EPIPE: reader gone; the writer should wind down
     }
   }
   return true;

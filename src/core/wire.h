@@ -1,18 +1,19 @@
-// Length-prefixed, checksummed wire format between shard workers and the
-// supervisor (DESIGN.md §12).
+// Length-prefixed, checksummed wire format between lease holders and the
+// coordinator (DESIGN.md §12, §14), and on the serve daemon's sockets and
+// runner pipes (§13).
 //
-// A worker process streams its findings back over an anonymous pipe; a
-// worker can die at any byte, so the stream must be self-delimiting and
+// A holder process streams its findings back over a socket; it can die
+// at any byte, so the stream must be self-delimiting and
 // self-validating. Every frame is
 //
 //   "xwf1" | type (1 byte) | payload length (u32 LE) | payload
 //        | fnv1a-64 over (type byte + payload) (u64 LE)
 //
-// The decoder consumes bytes incrementally (pipes deliver arbitrary
+// The decoder consumes bytes incrementally (streams deliver arbitrary
 // chunks), yields only frames whose magic, length, and checksum all
 // verify, and latches a permanent `corrupt` flag on the first violation —
-// a corrupted stream means the worker's memory can no longer be trusted,
-// and the supervisor treats it exactly like a crash.
+// a corrupted stream means the sender's memory can no longer be trusted,
+// and the coordinator treats it exactly like a crash.
 //
 // Payloads are text: victim-finding frames reuse the journal codec
 // (core/journal.h journal_encode/journal_decode), whose hexfloat doubles
@@ -28,12 +29,8 @@
 namespace xtv {
 
 enum class WireType : std::uint8_t {
-  kHello = 1,        ///< worker alive; payload "<shard index> <pid>"
-  kVictimStart,      ///< payload "<victim net>" — in-flight marker
-  kVictimDone,       ///< payload journal_encode(record)
-  kVictimSkipped,    ///< payload "<victim net>" — ineligible, no record
+  kHello = 1,        ///< job runner alive; payload "<job key>"
   kHeartbeat,        ///< payload "<sequence>"
-  kShardDone,        ///< payload "<records streamed>" — clean completion
 
   // --- Verification service (src/serve, DESIGN.md §13) ---
   // The daemon speaks the same framing — bytes, checksums, and corruption
@@ -53,21 +50,22 @@ enum class WireType : std::uint8_t {
   kJobDone,          ///< "<job key> <done|conceded> <k=v ...>" — terminal
   kJobQuery,         ///< client->daemon: "<token> <job key>" — status poll
 
-  // --- Remote shard fan-out (src/serve/remote.h, DESIGN.md §14) ---
-  // A coordinator (chip_audit --workers, or a daemon job runner) dials
-  // xtv_worker processes over TCP and leases work units — contiguous
-  // victim slices — to them. Same framing; payloads are text. Every
-  // unit-scoped frame carries "<unit id> <attempt>" so completions from a
-  // partitioned-then-healed worker are recognized as stale and dropped
-  // idempotently. kHeartbeat (above) doubles as the worker liveness
-  // signal, exactly like a shard worker's pipe heartbeat.
-  kWorkerSetup,      ///< coord->worker: "<options hash hex> <spec text>"
-  kWorkerReady,      ///< worker->coord: "<options hash hex> <pid>"
+  // --- Lease protocol (core/shard_exec.h, DESIGN.md §12, §14) ---
+  // The lease coordinator leases work units — contiguous victim slices —
+  // to holders: forked processes over a socketpair, or xtv_worker
+  // processes over TCP (which first get the job spec in kWorkerSetup).
+  // Same framing; payloads are text. Every unit-scoped frame carries
+  // "<unit id> <attempt>" so completions from a partitioned-then-healed
+  // holder are recognized as stale and dropped idempotently. kHeartbeat
+  // (above) doubles as the holder liveness signal.
+  kWorkerSetup,      ///< coord->worker: "<options hash hex> <heartbeat ms>
+                     ///<                  <spec text>"
+  kWorkerReady,      ///< holder->coord: "<options hash hex> <pid>"
   kWorkerReject,     ///< worker->coord: "<reason> <detail>" — typed refusal
-  kUnitAssign,       ///< coord->worker: "<unit id> <attempt> <victims...>"
-  kUnitResult,       ///< worker->coord: "<unit id> <attempt> r <journal payload>"
+  kUnitAssign,       ///< coord->holder: "<unit id> <attempt> <victims...>"
+  kUnitResult,       ///< holder->coord: "<unit id> <attempt> r <journal payload>"
                      ///<            or "<unit id> <attempt> s <victim>" (skip)
-  kUnitDone,         ///< worker->coord: "<unit id> <attempt> <results streamed>"
+  kUnitDone,         ///< holder->coord: "<unit id> <attempt> <results streamed>"
 };
 
 const char* wire_type_name(WireType t);
@@ -103,15 +101,17 @@ class WireDecoder {
   bool corrupt_ = false;
 };
 
-/// Thread-safe framed writer over a pipe fd. Worker-side: the victim loop
-/// and the heartbeat thread share one writer, so frames never interleave.
+/// Thread-safe framed writer over a pipe or socket fd. Holder side: the
+/// unit loop and the heartbeat thread share one writer, so frames never
+/// interleave.
 class WireWriter {
  public:
   explicit WireWriter(int fd) : fd_(fd) {}
 
   /// Writes one frame atomically w.r.t. other send() calls (EINTR-safe
-  /// full write). Returns false when the pipe is gone (EPIPE — the
-  /// supervisor abandoned this worker); callers treat that as "stop".
+  /// full write). Returns false when the peer is gone (EPIPE — the
+  /// coordinator or daemon abandoned this writer); callers treat that as
+  /// "stop".
   bool send(WireType type, const std::string& payload);
 
  private:

@@ -245,27 +245,28 @@ bool ServeDaemon::bind_socket(std::string* error) {
   }
   ::unlink(opt_.socket_path.c_str());
 
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    *error = std::string("socket(): ") + std::strerror(errno);
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    *error = std::string("bind/listen on ") + opt_.socket_path + ": " +
-             std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  subprocess::set_nonblocking(listen_fd_);
-
-  // Atomic write: a reader racing our startup must never see a torn pid
-  // (the liveness check would probe the wrong process).
+  // The pid file goes down before listen(): once the socket accepts, the
+  // pid file exists. Atomic write: a reader racing our startup must never
+  // see a torn pid (the liveness check would probe the wrong process).
   if (write_file_atomic(pid_path,
                         std::to_string(static_cast<long>(::getpid())) + "\n"))
     wrote_pid_file_ = true;
+  auto fail = [&](const char* what) {
+    const int err = errno;
+    *error = std::string(what) + opt_.socket_path + ": " + std::strerror(err);
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    listen_fd_ = -1;
+    if (wrote_pid_file_) ::unlink(pid_path.c_str());
+    wrote_pid_file_ = false;
+    return false;
+  };
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (listen_fd_ < 0) return fail("socket() for ");
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+             sizeof(addr)) != 0 ||
+      ::listen(listen_fd_, 16) != 0)
+    return fail("bind/listen on ");
+  subprocess::set_nonblocking(listen_fd_);
   return true;
 }
 
@@ -416,9 +417,9 @@ bool ServeDaemon::memory_gate_open() const {
 
 double ServeDaemon::job_reserve_mb(const JobSpec& spec) const {
   if (spec.mem_mb > 0.0) return spec.mem_mb;  // client knows best
-  // Estimate: each shard worker is a fork of the daemon image (CoW, but
-  // it dirties its shard's clusters and model cache) plus the runner
-  // supervisor; the per-net term covers cluster state scaling with the
+  // Estimate: each lease holder is a fork of the daemon image (CoW, but
+  // it dirties its victims' clusters and model cache) plus the runner
+  // itself; the per-net term covers cluster state scaling with the
   // job's design size.
   const std::size_t nets =
       spec.has_design_ref() ? spec.design_nets : design_.nets.size();
@@ -774,10 +775,10 @@ int ServeDaemon::runner_main(const Job& job, int write_fd) {
     for (;;) ::pause();
 
   VerifierOptions vo = job.spec.to_options();
-  // Always run process shards: the supervisor finalizes the journal with
+  // Always run forked holders: verify() then finalizes the journal with
   // one stable-order atomic write, which is what makes a served job's
-  // journal bit-identical to a one-shot chip_audit run — and what lets a
-  // SIGKILLed runner resume from its shard journals.
+  // journal bit-identical to a one-shot chip_audit run — and the lease
+  // coordinator's insurance journal lets a SIGKILLed runner resume.
   if (vo.processes == 0)
     vo.processes = std::max<std::size_t>(1, opt_.default_processes);
   vo.threads = 1;
@@ -899,7 +900,7 @@ bool ServeDaemon::launch(std::uint64_t key, Job& job, double now) {
   }
   if (pid == 0) {
     // Runner child: own process group (so one SIGKILL reaps it together
-    // with its forked shard workers), daemon fds closed.
+    // with its forked lease holders), daemon fds closed.
     ::setpgid(0, 0);
     ::close(pipe.read_fd);
     if (listen_fd_ >= 0) ::close(listen_fd_);
@@ -940,7 +941,7 @@ bool ServeDaemon::launch(std::uint64_t key, Job& job, double now) {
 
 void ServeDaemon::kill_runner(Job& job) {
   if (job.pid <= 0 || job.kill_sent) return;
-  ::kill(-job.pid, SIGKILL);  // whole runner group: shard workers included
+  ::kill(-job.pid, SIGKILL);  // whole runner group: lease holders included
   ::kill(job.pid, SIGKILL);
   job.kill_sent = true;
 }
@@ -958,7 +959,7 @@ void ServeDaemon::handle_runner_frames(Job& job, double now) {
     } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       break;
     } else {
-      // EOF/error. NOT a death verdict by itself (shard workers inherit
+      // EOF/error. NOT a death verdict by itself (lease holders inherit
       // the write end); try_wait in reap_runners() is authoritative.
       ::close(job.pipe_fd);
       job.pipe_fd = -1;
@@ -1015,7 +1016,7 @@ std::map<std::size_t, JournalRecord> ServeDaemon::collect_results(
   fold(paths.journal);
   for (std::size_t k : journal_list_shards(paths.journal))
     fold(journal_shard_path(paths.journal, k));
-  // Live-streamed findings may be ahead of the (batched) shard journals.
+  // Live-streamed findings may be ahead of the shard journals.
   for (const auto& [net, payload] : job.findings) {
     JournalRecord rec;
     if (journal_decode(payload, rec)) results.insert_or_assign(net, rec);
@@ -1031,8 +1032,8 @@ void ServeDaemon::concede_job(std::uint64_t key, Job& job,
   std::size_t synthesized = 0;
   for (std::size_t v : cands) {
     if (results.count(v)) continue;
-    // Rung-4 contract (core/shard_exec.h): pure struct assembly, maximally
-    // pessimistic, explicitly typed — never silence.
+    // Pure struct assembly, maximally pessimistic, explicitly typed —
+    // never silence.
     JournalRecord rec;
     rec.screened = false;
     rec.finding.net = v;
@@ -1132,7 +1133,7 @@ void ServeDaemon::reap_runners(double now) {
     }
     const pid_t pid = job.pid;
     job.pid = -1;
-    ::kill(-pid, SIGKILL);  // straggler shard workers of a crashed runner
+    ::kill(-pid, SIGKILL);  // straggler lease holders of a crashed runner
     const JobPaths paths = job_paths(opt_.jobs_dir, key);
     ::unlink(paths.pid.c_str());
     governor_.release(key);
@@ -1233,10 +1234,10 @@ void ServeDaemon::maybe_shed(double now) {
   }
   if (running < 2 || !youngest) return;
 
-  // SIGTERM the runner group, not SIGKILL: the shard supervisor dies
-  // quickly (default disposition), shard journals keep the progress, and
-  // a runner that was one write away from finishing may still finalize —
-  // the reap path honors its done file either way.
+  // SIGTERM the runner group, not SIGKILL: the lease coordinator dies
+  // quickly (default disposition), its insurance journal keeps the
+  // progress, and a runner that was one write away from finishing may
+  // still finalize — the reap path honors its done file either way.
   logf(LogLevel::kWarn,
        "serve: RSS %.0f MiB over soft budget %.0f MiB; shedding youngest "
        "job %s back to queued",

@@ -3,10 +3,10 @@
 // A long-lived process that owns one resident chip design and accepts
 // verification jobs over a Unix-domain socket — and optionally a TCP
 // listener (--listen host:port) — speaking the same xwf1 framing the
-// shard workers use (core/wire.h). Each job is one ChipVerifier run,
+// lease holders use (core/wire.h). Each job is one ChipVerifier run,
 // against the resident design or a per-job design reference carried in
 // its spec; the daemon forks a single-purpose *job runner* per attempt,
-// which executes verify() in process-shard mode (so a clean run
+// which executes verify() with forked lease holders (so a clean run
 // finalizes a stable-order, bit-identical journal atomically) and streams
 // per-victim findings back over a pipe as they certify. Up to
 // --max-running runners execute concurrently under the cross-job
@@ -30,7 +30,7 @@
 //               synthesizes pessimistic kShardCrashed records for every
 //               unaccounted victim, finalizes the journal atomically, and
 //               reports the job "conceded"
-//   liveness    runners heartbeat through the shard supervisor's poll
+//   liveness    runners heartbeat through the lease coordinator's poll
 //               loop; silence past 10x the heartbeat period (after a
 //               startup grace covering the silent pruning phase) reaps
 //               the runner's process group
@@ -95,7 +95,7 @@ struct DaemonOptions {
   // --- Admission & scheduling ---
   std::size_t queue_capacity = 8;   ///< bounded admission queue
   std::size_t max_running = 1;      ///< concurrent job runners
-  std::size_t default_processes = 2;  ///< shard workers when spec says 0
+  std::size_t default_processes = 2;  ///< lease holders when spec says 0
   double default_deadline_ms = 0.0;   ///< per-attempt wall clock (0 = off)
   long default_retries = 2;           ///< attempts after the first
   BackoffPolicy backoff;

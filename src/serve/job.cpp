@@ -186,9 +186,6 @@ bool JobSpec::parse(const std::string& text, JobSpec* spec,
     } else if (k == "heartbeat_ms") {
       if (!parse_double_text(v, &d) || d <= 0.0) return bad("a period > 0");
       out.heartbeat_ms = d;
-    } else if (k == "restarts") {
-      if (!parse_size_text(v, &z)) return bad("an integer >= 0");
-      out.restarts = z;
     } else if (k == "deadline_ms") {
       if (!parse_double_text(v, &d)) return bad("a value in ms");
       out.deadline_ms = d;
@@ -308,7 +305,6 @@ std::string JobSpec::to_text() const {
       << " mem_mb=" << fmt_double(mem_mb)
       << " processes=" << processes
       << " heartbeat_ms=" << fmt_double(heartbeat_ms)
-      << " restarts=" << restarts
       << " deadline_ms=" << fmt_double(deadline_ms)
       << " retries=" << retries;
   return out.str();
@@ -318,7 +314,6 @@ VerifierOptions JobSpec::to_options() const {
   VerifierOptions vo = options;
   vo.processes = processes;
   vo.shard_heartbeat_ms = heartbeat_ms;
-  vo.max_shard_restarts = restarts;
   return vo;
 }
 

@@ -65,9 +65,8 @@ struct JobSpec {
   std::uint64_t design_seed = 0;
 
   // --- Scheduling (never part of the job key) ---
-  std::size_t processes = 0;   ///< shard workers per attempt (0 = daemon default)
-  double heartbeat_ms = 250.0; ///< shard worker heartbeat period
-  std::size_t restarts = 2;    ///< shard restart budget inside one attempt
+  std::size_t processes = 0;   ///< forked lease holders per attempt (0 = daemon default)
+  double heartbeat_ms = 250.0; ///< holder heartbeat period (> 0)
   double deadline_ms = -1.0;   ///< per-attempt wall clock (<0 = daemon default, 0 = unlimited)
   long retries = -1;           ///< attempts after the first (<0 = daemon default)
   double mem_mb = 0.0;         ///< reservation hint for the cross-job governor (0 = estimate)

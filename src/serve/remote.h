@@ -1,47 +1,30 @@
-// Fault-tolerant multi-host shard fan-out (DESIGN.md §14).
+// Multi-host fan-out over TCP (DESIGN.md §14): the TCP transport of the
+// lease coordinator (core/shard_exec.h).
 //
 // Two halves of one protocol:
 //
-//   RemoteExecutor — the coordinator. Plugged into VerifierOptions::
+//   RemoteExecutor — the coordinator side. Plugged into VerifierOptions::
 //     remote_backend, it dials a fleet of xtv_worker processes over TCP,
-//     replays the job spec to each (kWorkerSetup), validates that every
-//     worker derives the *same options-result hash* (a worker built from
-//     a different binary or spec must refuse work, not silently produce
-//     incomparable findings), and then leases contiguous work units
-//     (serve/lease.h) to idle workers. Results stream back as journal
-//     payloads — the same hexfloat codec the process shards use — so a
-//     crash-free multi-host run merges bit-identical to the single-host
-//     one.
+//     replays the job spec to each (kWorkerSetup "<options hash>
+//     <heartbeat ms> <spec text>"), and hands the connections to
+//     run_leases(), which validates that every worker derives the *same
+//     options-result hash* (a worker built from a different binary or
+//     spec must refuse work, not silently produce incomparable findings)
+//     and then leases contiguous work units (core/lease.h) to them. The
+//     failure policy — lease expiry, retry elsewhere, concession, the
+//     all-workers-lost local fallback — is the coordinator's, shared with
+//     the forked `--processes` holders; the one table is DESIGN.md §14.
+//     Workers lost are never replaced: the endpoint list is fixed.
 //
 //   run_worker — the worker serve loop behind the xtv_worker binary. It
 //     binds a TCP listener (port 0 = ephemeral; the bound endpoint is
 //     published atomically via --endpoint-file), accepts one coordinator
 //     at a time, rebuilds the spec'd design locally (same generator
 //     parameters -> same chip, so only the spec text crosses the wire),
-//     and analyzes assigned victims with the verifier's own per-victim
-//     engine (ChipVerifier::Prepared).
-//
-// Failure policy, in one table:
-//
-//   worker connection lost      fail its leases -> backoff requeue
-//   heartbeat silence (10x)     fail its leases; worker kept connected
-//                               and re-admitted on any fresh frame
-//   silence persists (another   close + mark dead — a wedged-forever
-//     10x window)               worker must not hold a poll slot
-//   unit died on 2 distinct     quarantine: concede its remaining victims
-//     holders (or attempt       locally as kShardCrashed with the
-//     budget burned)            conservative Devgan bound (PR 6 ladder)
-//   late/duplicate frames       (unit, attempt) mismatch -> dropped
-//   options hash mismatch       typed kWorkerReject; worker never leased
-//   ALL workers dead            degrade gracefully: remaining victims run
-//                               local in-process, every victim still
-//                               lands in an explicit FindingStatus
-//
-// Test hooks (env, all off in production):
-//   XTV_TEST_WORKER_CRASH_UNIT=<id>   worker _exits on that unit's assign
-//   XTV_TEST_WORKER_STALL_MS=<ms>     worker stalls (heartbeats
-//                                     suppressed) before its first unit
-//   XTV_TEST_DROP_FRAME_EVERY=<n>     worker drops every n-th kUnitResult
+//     answers kWorkerReady or a typed kWorkerReject, and then serves
+//     units with the shared holder loop (serve_units) on the verifier's
+//     own per-victim engine (ChipVerifier::Prepared). Its test hooks are
+//     serve_units' (core/shard_exec.h).
 #pragma once
 
 #include <cstddef>
@@ -53,7 +36,6 @@
 #include "core/journal.h"
 #include "core/shard_exec.h"
 #include "core/verifier.h"
-#include "serve/lease.h"
 
 namespace xtv {
 namespace serve {
@@ -61,11 +43,11 @@ namespace serve {
 struct RemoteExecOptions {
   /// Worker endpoints ("host:port" / "tcp:host:port").
   std::vector<std::string> workers;
-  /// Expected worker heartbeat period (ms), sent to each worker in the
-  /// setup frame. Silence for 10x this expires the worker's leases;
-  /// another 10x window closes the connection. 0 disables stall eviction.
+  /// Expected worker heartbeat period (ms, > 0), sent to each worker in
+  /// the setup frame. Silence for 10x this expires the worker's leases;
+  /// another 10x window closes the connection.
   double heartbeat_ms = 250.0;
-  /// Victims per leased unit / lease-failure policy (serve/lease.h).
+  /// Victims per leased unit / lease-failure policy (core/lease.h).
   std::size_t unit_victims = 16;
   std::size_t max_unit_attempts = 4;
   double backoff_base_ms = 200.0;
@@ -74,8 +56,8 @@ struct RemoteExecOptions {
   /// characterizes the design before answering, so this is generous).
   double setup_timeout_ms = 60000.0;
   /// Base journal path; the coordinator appends accepted results to
-  /// `<base>.shard0` (flush-every-1) as crash insurance, exactly like a
-  /// process-shard worker journal. Empty = no insurance journal.
+  /// `<base>.shard0` (flush-every-1) as crash insurance. Empty = no
+  /// insurance journal.
   std::string journal_path;
   /// Options-result hash every worker must independently derive.
   std::uint64_t options_hash = 0;
@@ -83,38 +65,28 @@ struct RemoteExecOptions {
   std::string spec_text;
 };
 
-/// Coordinator-side stats, over and above the ShardExecStats mapping
-/// (worker_crashes = connection losses + stall evictions, shard_restarts
-/// = lease reassignments, victims_quarantined = quarantine concessions).
-struct RemoteExecStats {
-  std::size_t workers_connected = 0;  ///< setup handshakes completed
-  std::size_t workers_rejected = 0;   ///< typed kWorkerReject refusals
-  std::size_t workers_lost = 0;       ///< closed: EOF, error, corrupt, wedged
-  std::size_t lease_expiries = 0;     ///< heartbeat-silence lease failures
-  std::size_t victims_local = 0;      ///< all-workers-dead local fallback
-  LeaseTableStats lease;
-};
-
-/// The coordinator. Stateless between runs; construct per job.
+/// The coordinator's TCP transport. Stateless between runs; construct per
+/// job.
 class RemoteExecutor : public RemoteBackend {
  public:
   explicit RemoteExecutor(const RemoteExecOptions& options)
       : opt_(options) {}
 
-  /// Runs `work` across the worker fleet; returns one record per victim,
-  /// keyed by net (exactly run_process_shards' contract — the verifier
-  /// merges either backend's map the same way). Never throws on worker
+  /// Runs `work` across the worker fleet through run_leases(); returns
+  /// one record per eligible victim, keyed by net. Never throws on worker
   /// failure: every victim settles as a real result, a local-fallback
   /// result, or an explicit concession.
   std::map<std::size_t, JournalRecord> run(
       const std::vector<std::size_t>& work, const ShardCallbacks& callbacks,
-      ShardExecStats* stats) override;
+      CoordinatorStats* stats) override;
 
-  const RemoteExecStats& remote_stats() const { return rstats_; }
+  /// The last run's coordinator stats (connections, rejections, losses,
+  /// lease expiries, local fallback, lease-table counters).
+  const CoordinatorStats& remote_stats() const { return stats_; }
 
  private:
   RemoteExecOptions opt_;
-  RemoteExecStats rstats_;
+  CoordinatorStats stats_;
 };
 
 struct WorkerOptions {

@@ -7,7 +7,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 
@@ -78,101 +77,6 @@ bool try_wait(pid_t pid, ExitStatus* status) {
   if (s.signaled) s.sig = WTERMSIG(raw);
   if (status) *status = s;
   return true;
-}
-
-namespace {
-
-// Shared with the signal handler: plain stores/loads of lock-free
-// atomics, the only data flow the async-signal-safety rules allow.
-std::atomic<int> g_marker_fd{-1};
-std::atomic<std::uint64_t> g_marker_victim{kNoCrashVictim};
-
-/// Async-signal-safe unsigned decimal formatter; returns chars written.
-std::size_t format_u64(std::uint64_t v, char* out) {
-  char tmp[24];
-  std::size_t n = 0;
-  do {
-    tmp[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v > 0);
-  for (std::size_t i = 0; i < n; ++i) out[i] = tmp[n - 1 - i];
-  return n;
-}
-
-/// EINTR-retrying full write; ignores failure (nothing a handler can do).
-void full_write(int fd, const char* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::write(fd, data + off, n - off);
-    if (w > 0) {
-      off += static_cast<std::size_t>(w);
-    } else if (w < 0 && errno == EINTR) {
-      continue;
-    } else {
-      return;
-    }
-  }
-}
-
-extern "C" void crash_marker_signal_handler(int sig) {
-  const int fd = g_marker_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) write_crash_marker(fd, g_marker_victim.load(std::memory_order_relaxed), sig);
-  // Re-raise with the default disposition so the supervisor's waitpid
-  // sees the truthful WTERMSIG (and core dumps still happen when
-  // enabled) instead of a laundered exit code.
-  ::signal(sig, SIG_DFL);
-  ::raise(sig);
-}
-
-}  // namespace
-
-void write_crash_marker(int fd, std::uint64_t victim, int sig) {
-  // "xtvjc <victim> <signal>\n" assembled without stdio or allocation.
-  char line[64];
-  std::size_t n = 0;
-  for (const char* p = kCrashMarkerMagic; *p; ++p) line[n++] = *p;
-  line[n++] = ' ';
-  n += format_u64(victim, line + n);
-  line[n++] = ' ';
-  n += format_u64(static_cast<std::uint64_t>(sig < 0 ? 0 : sig), line + n);
-  line[n++] = '\n';
-  full_write(fd, line, n);
-  ::fsync(fd);
-}
-
-bool crash_marker_handlers_enabled() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return false;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return false;
-#else
-  return true;
-#endif
-#else
-  return true;
-#endif
-}
-
-void install_crash_marker_handler(int fd) {
-  if (!crash_marker_handlers_enabled()) return;
-  g_marker_fd.store(fd, std::memory_order_relaxed);
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = &crash_marker_signal_handler;
-  sigemptyset(&sa.sa_mask);
-  // SA_NODEFER unnecessary (the handler re-raises after SIG_DFL);
-  // SA_RESETHAND would also work but we reset explicitly for SIGBUS et
-  // al. delivered as a *different* signal than the installed one.
-  sa.sa_flags = 0;
-  ::sigaction(SIGSEGV, &sa, nullptr);
-  ::sigaction(SIGBUS, &sa, nullptr);
-  ::sigaction(SIGFPE, &sa, nullptr);
-  ::sigaction(SIGABRT, &sa, nullptr);
-}
-
-void set_crash_marker_victim(std::uint64_t victim) {
-  g_marker_victim.store(victim, std::memory_order_relaxed);
 }
 
 }  // namespace subprocess

@@ -1,24 +1,10 @@
-// Worker-process plumbing for the process-isolated shard executor
-// (core/shard_exec.h, DESIGN.md §12): pipe creation, child exit
-// classification, and worker-side signal hygiene.
-//
-// The signal story is the part that earns its own module. A worker that
-// dies on SIGSEGV/SIGBUS/SIGFPE must tell the supervisor *which victim*
-// it was analyzing, or the supervisor has to guess from the last streamed
-// record. The crash-marker handler is therefore async-signal-safe by
-// construction: it formats "xtvjc <victim> <signal>\n" with hand-rolled
-// integer printing (no snprintf, no malloc, no stdio) and write(2)s it to
-// a pre-registered journal fd before re-raising the signal with its
-// default disposition — so waitpid still reports the truthful WTERMSIG.
-// Under ASan/TSan the handler is not installed (the sanitizers own those
-// signals and their reports are more valuable than our one-liner); the
-// supervisor then attributes the crash from the last streamed
-// victim-start record instead.
+// Child-process plumbing for the forked lease holders (core/shard_exec.h,
+// DESIGN.md §12) and the serve daemon's job runners (serve/daemon.h):
+// pipe creation, child exit classification, and SIGPIPE hygiene.
 #pragma once
 
 #include <sys/types.h>
 
-#include <cstdint>
 #include <string>
 
 namespace xtv {
@@ -32,13 +18,13 @@ struct Pipe {
 };
 Pipe make_pipe();
 
-/// Marks `fd` O_NONBLOCK (the supervisor's poll-driven reads).
+/// Marks `fd` O_NONBLOCK (the daemon's poll-driven reads).
 void set_nonblocking(int fd);
 
-/// Workers write findings into a pipe the supervisor may have abandoned
-/// (it SIGKILLs stalled shards); a SIGPIPE-terminated worker would be
-/// indistinguishable from a real crash, so workers ignore the signal and
-/// handle the EPIPE write error instead.
+/// Children write frames into a pipe or socket their parent may have
+/// abandoned; a SIGPIPE-terminated child would be indistinguishable from
+/// a real crash, so children ignore the signal and handle the EPIPE
+/// write error instead.
 void ignore_sigpipe();
 
 /// Classified waitpid(2) result.
@@ -58,35 +44,10 @@ bool wait_for(pid_t pid, ExitStatus* status);
 /// Non-blocking waitpid (WNOHANG, EINTR-retrying): true when `pid` was
 /// reaped into `status`, false while it is still running (or is not a
 /// waitable child). The serve daemon supervises its job runners this way
-/// — pipe EOF alone is unreliable, because a runner's forked shard
-/// workers inherit the pipe's write end and keep it open past the
+/// — pipe EOF alone is unreliable, because a runner's forked lease
+/// holders inherit the pipe's write end and keep it open past the
 /// runner's own death.
 bool try_wait(pid_t pid, ExitStatus* status);
-
-// --- Crash markers (worker side) ---
-
-/// First token of a crash-marker line in a shard journal:
-///   xtvjc <victim net id> <signal number>\n
-inline constexpr const char* kCrashMarkerMagic = "xtvjc";
-
-/// Sentinel for "no victim currently in flight".
-inline constexpr std::uint64_t kNoCrashVictim = ~std::uint64_t{0};
-
-/// Async-signal-safe: writes one crash-marker line to `fd`. Exposed so
-/// tests can exercise the exact formatting without taking a real signal.
-void write_crash_marker(int fd, std::uint64_t victim, int sig);
-
-/// Installs the SIGSEGV/SIGBUS/SIGFPE crash-marker handler writing to
-/// `fd` (pass -1 to mark "no journal": the handler then only re-raises).
-/// No-op when crash_marker_handlers_enabled() is false.
-void install_crash_marker_handler(int fd);
-
-/// False under ASan/TSan builds, where the sanitizer owns fatal signals.
-bool crash_marker_handlers_enabled();
-
-/// Publishes the victim the calling worker is about to analyze (read by
-/// the crash handler); pass kNoCrashVictim between victims.
-void set_crash_marker_victim(std::uint64_t victim);
 
 }  // namespace subprocess
 }  // namespace xtv

@@ -16,9 +16,9 @@
 //      bit-identical to an unconstrained serial reference run: adversity
 //      may degrade a victim's result, never silently change it.
 //
-// A second phase (--process-trials) attacks the process-shard backend:
-// each trial draws a worker count, a victim, and a kill count, arms the
-// supervisor's deterministic SIGKILL hook (XTV_TEST_SHARD_KILL_ON_START),
+// A second phase (--process-trials) attacks the forked-holder backend:
+// each trial draws a holder count, a victim, and a kill count, arms the
+// coordinator's deterministic SIGKILL hook (XTV_TEST_SHARD_KILL_ON_START),
 // and runs the same verification twice. It checks that no victim is ever
 // lost, that the contract above still holds, and that the two replays
 // reach bit-identical per-victim outcomes — crash recovery must be as
@@ -541,8 +541,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Phase two: deterministic process-kill trials against the shard backend.
-  // Each trial SIGKILLs a worker mid-run (seed-keyed victim and kill count)
+  // Phase two: deterministic process-kill trials against forked holders.
+  // Each trial SIGKILLs a holder mid-run (seed-keyed victim and kill count)
   // and replays the identical configuration; recovery must lose nothing and
   // must land on the same per-victim outcomes both times.
   for (std::size_t t = 0; t < process_trials; ++t) {
@@ -590,8 +590,8 @@ int main(int argc, char** argv) {
     expect(first.findings.size() == ref_report.findings.size(), trial,
            "process trial lost findings");
 
-    // One quarantine per trial; a worker dies once per armed kill; the
-    // victim is conceded only when the solo retry is also killed.
+    // One failed-lease victim per trial; a holder dies once per armed
+    // kill; the victim is conceded only when its retry is also killed.
     expect(first.worker_crashes == static_cast<std::size_t>(kills), trial,
            "worker crash count disagrees with armed kills");
     expect(first.victims_quarantined == 1, trial,

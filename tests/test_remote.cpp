@@ -1,16 +1,18 @@
-// Remote fan-out tests (DESIGN.md §14). Two layers:
+// Lease-coordinator tests (DESIGN.md §14). Two layers:
 //
 //   LeaseTable — the pure failure-policy core, driven with a synthetic
 //   clock: ownership, idempotent (unit, attempt) classification, settled
 //   victims surviving reassignment, exponential backoff, the
-//   distinct-holder / attempt-budget quarantine rungs, short completions,
+//   distinct-holder / attempt-budget quarantine rules, short completions,
 //   and the all-workers-dead drain.
 //
 //   End to end — a real xtv_worker serve loop forked as a child process,
 //   a real RemoteExecutor dialing it over TCP: crash-free bit-identity
 //   against the in-process run, mid-unit SIGKILL recovery, the
-//   options-hash rejection gate, dropped-frame redelivery, and the
-//   stall -> lease expiry -> heal -> stale-frame-rejection cycle.
+//   options-hash rejection gate, dropped-frame redelivery, the
+//   stall -> lease expiry -> heal -> stale-frame-rejection cycle, and one
+//   poison victim settled identically by the TCP fleet and by forked
+//   `--processes` holders.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -25,8 +27,8 @@
 #include "chipgen/dsp_chip.h"
 #include "core/journal.h"
 #include "core/verifier.h"
+#include "core/lease.h"
 #include "serve/job.h"
-#include "serve/lease.h"
 #include "serve/remote.h"
 
 namespace xtv {
@@ -48,8 +50,6 @@ TEST(LeaseTable, SlicesWorkIntoContiguousStableUnits) {
   opt.unit_victims = 4;
   const auto work = iota_work(10);
   LeaseTable table(work, opt);
-  EXPECT_EQ(table.unit_count(), 3u);
-  EXPECT_EQ(table.victims_total(), 10u);
   EXPECT_FALSE(table.all_settled());
 
   LeaseAssignment a;
@@ -59,13 +59,17 @@ TEST(LeaseTable, SlicesWorkIntoContiguousStableUnits) {
   ASSERT_EQ(a.victims.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(a.victims[i], work[i]);
 
-  // Last unit takes the remainder.
+  // Last unit takes the remainder: three units cover all ten victims.
   LeaseAssignment b, c;
   ASSERT_TRUE(table.acquire("w1", 0.0, &b));
   ASSERT_TRUE(table.acquire("w2", 0.0, &c));
+  EXPECT_EQ(b.unit, 1u);
+  EXPECT_EQ(c.unit, 2u);
   EXPECT_EQ(c.victims.size(), 2u);
-  EXPECT_EQ(table.leased_count(), 3u);
-  // Nothing left to lease.
+  EXPECT_EQ(a.victims.size() + b.victims.size() + c.victims.size(),
+            work.size());
+  // All three are out on lease: nothing left to lease.
+  EXPECT_EQ(table.stats().leases, 3u);
   LeaseAssignment d;
   EXPECT_FALSE(table.acquire("w3", 0.0, &d));
 }
@@ -104,7 +108,7 @@ TEST(LeaseTable, StaleAttemptFramesAreRejected) {
 
   LeaseAssignment first;
   ASSERT_TRUE(table.acquire("w1", 0.0, &first));
-  table.fail_unit(first.unit, 1000.0);
+  table.fail_holder("w1", 1000.0);
 
   // Re-lease after backoff: fresh attempt number.
   LeaseAssignment second;
@@ -134,8 +138,9 @@ TEST(LeaseTable, SettledVictimsSurviveReassignment) {
   ASSERT_TRUE(table.acquire("w1", 0.0, &a));
   EXPECT_EQ(table.result(a.unit, a.attempt, work[1]), LeaseVerdict::kAccepted);
   EXPECT_EQ(table.result(a.unit, a.attempt, work[3]), LeaseVerdict::kAccepted);
-  EXPECT_EQ(table.victims_settled(), 2u);
   table.fail_holder("w1", 100.0);
+  // The failure charges only the victims it left unsettled.
+  EXPECT_EQ(table.stats().victims_charged, 2u);
 
   // The re-lease carries only the unsettled remainder, in stable order.
   LeaseAssignment b;
@@ -143,6 +148,11 @@ TEST(LeaseTable, SettledVictimsSurviveReassignment) {
   ASSERT_EQ(b.victims.size(), 2u);
   EXPECT_EQ(b.victims[0], work[0]);
   EXPECT_EQ(b.victims[1], work[2]);
+  // ...and the two settled victims stay settled under the new lease.
+  EXPECT_EQ(table.result(b.unit, b.attempt, work[1]),
+            LeaseVerdict::kDuplicate);
+  EXPECT_EQ(table.result(b.unit, b.attempt, work[3]),
+            LeaseVerdict::kDuplicate);
 }
 
 TEST(LeaseTable, ExponentialBackoffDelaysRequeue) {
@@ -156,17 +166,18 @@ TEST(LeaseTable, ExponentialBackoffDelaysRequeue) {
 
   LeaseAssignment a;
   ASSERT_TRUE(table.acquire("w1", 0.0, &a));
-  table.fail_unit(a.unit, 1000.0);
-  // First failure: ready again at 1000 + 100.
+  table.fail_holder("w1", 1000.0);
+  // First failure: ready again at 1000 + 100, and not a moment before.
   EXPECT_FALSE(table.acquire("w1", 1050.0, &a));
-  EXPECT_DOUBLE_EQ(table.next_ready_ms(1050.0), 1100.0);
+  EXPECT_FALSE(table.acquire("w1", 1099.0, &a));
   ASSERT_TRUE(table.acquire("w1", 1100.0, &a));
-  table.fail_unit(a.unit, 2000.0);
+  table.fail_holder("w1", 2000.0);
   // Second failure doubles the delay.
   EXPECT_FALSE(table.acquire("w1", 2150.0, &a));
   ASSERT_TRUE(table.acquire("w1", 2200.0, &a));
-  table.fail_unit(a.unit, 3000.0);
+  table.fail_holder("w1", 3000.0);
   // Third failure would be 400 ms but the cap holds it at 250.
+  EXPECT_FALSE(table.acquire("w1", 3249.0, &a));
   ASSERT_TRUE(table.acquire("w1", 3250.0, &a));
 }
 
@@ -174,17 +185,19 @@ TEST(LeaseTable, AttemptBudgetQuarantines) {
   LeaseOptions opt;
   opt.unit_victims = 2;
   opt.max_unit_attempts = 2;
-  opt.quarantine_distinct_holders = 99;  // isolate the attempt rung
   opt.backoff_base_ms = 10.0;
   const auto work = iota_work(2);
   LeaseTable table(work, opt);
 
+  // One holder failing twice: never a second distinct holder, so only the
+  // attempt budget can quarantine.
   LeaseAssignment a;
   ASSERT_TRUE(table.acquire("w1", 0.0, &a));
-  table.fail_unit(a.unit, 0.0);
+  table.fail_holder("w1", 0.0);
+  EXPECT_EQ(table.stats().units_quarantined, 0u);
   ASSERT_TRUE(table.acquire("w1", 100.0, &a));
   EXPECT_EQ(a.attempt, 2u);
-  table.fail_unit(a.unit, 100.0);  // budget burned -> quarantine
+  table.fail_holder("w1", 100.0);  // budget burned -> quarantine
 
   EXPECT_EQ(table.stats().units_quarantined, 1u);
   LeaseAssignment b;
@@ -201,8 +214,7 @@ TEST(LeaseTable, AttemptBudgetQuarantines) {
 TEST(LeaseTable, TwoDistinctHoldersQuarantine) {
   LeaseOptions opt;
   opt.unit_victims = 2;
-  opt.max_unit_attempts = 99;  // isolate the distinct-holder rung
-  opt.quarantine_distinct_holders = 2;
+  opt.max_unit_attempts = 99;  // isolate the distinct-holder rule
   opt.backoff_base_ms = 10.0;
   const auto work = iota_work(2);
   LeaseTable table(work, opt);
@@ -216,6 +228,8 @@ TEST(LeaseTable, TwoDistinctHoldersQuarantine) {
   ASSERT_TRUE(table.acquire("hostB", 200.0, &a));
   table.fail_holder("hostB", 200.0);  // second distinct host -> poison unit
   EXPECT_EQ(table.stats().units_quarantined, 1u);
+  // Three failures, but the unit's two victims were charged once.
+  EXPECT_EQ(table.stats().victims_charged, 2u);
 }
 
 TEST(LeaseTable, ShortCompletionRequeuesWithoutCharge) {
@@ -354,7 +368,7 @@ class RemoteFixture : public ::testing::Test {
   /// baseline (the acceptance bar for a crash-free or fully recovered
   /// distributed run).
   static VerificationReport run_remote(const std::vector<std::string>& eps,
-                                       RemoteExecStats* stats_out = nullptr,
+                                       CoordinatorStats* stats_out = nullptr,
                                        double heartbeat_ms = 100.0,
                                        std::size_t unit_victims = 8) {
     VerifierOptions vo = spec_->to_options();
@@ -406,7 +420,7 @@ std::string RemoteFixture::cache_path_;
 TEST_F(RemoteFixture, CrashFreeRunIsBitIdentical) {
   std::string ep;
   const pid_t pid = spawn_worker("clean", &ep, cache_path_);
-  RemoteExecStats rs;
+  CoordinatorStats rs;
   const VerificationReport report = run_remote({ep}, &rs);
   reap(pid);
   EXPECT_EQ(rs.workers_connected, 1u);
@@ -428,7 +442,7 @@ TEST_F(RemoteFixture, WorkerCrashMidUnitRecoversOnSurvivor) {
   }
   const pid_t pid_good = spawn_worker("survivor", &ep_good, "");
 
-  RemoteExecStats rs;
+  CoordinatorStats rs;
   const VerificationReport report = run_remote({ep_bad, ep_good}, &rs);
   reap(pid_bad);
   reap(pid_good);
@@ -437,7 +451,9 @@ TEST_F(RemoteFixture, WorkerCrashMidUnitRecoversOnSurvivor) {
   EXPECT_EQ(rs.workers_lost, 1u);
   EXPECT_GE(rs.lease.reassignments, 1u);
   EXPECT_EQ(rs.victims_local, 0u);  // the survivor absorbed everything
-  EXPECT_EQ(report.victims_quarantined, 0u);  // one host death != poison
+  EXPECT_EQ(report.victims_shard_crashed, 0u);  // one host death != poison
+  // The crashed unit's lease failed once: all of run_remote's 8 victims.
+  EXPECT_EQ(report.victims_quarantined, 8u);
   expect_bit_identical(report);
 }
 
@@ -448,7 +464,7 @@ TEST_F(RemoteFixture, AllWorkersLostFallsBackLocally) {
     EnvGuard crash("XTV_TEST_WORKER_CRASH_UNIT", "0");
     pid = spawn_worker("doomed", &ep, cache_path_);
   }
-  RemoteExecStats rs;
+  CoordinatorStats rs;
   const VerificationReport report = run_remote({ep}, &rs);
   reap(pid);
 
@@ -491,7 +507,7 @@ TEST_F(RemoteFixture, DroppedResultFramesAreRedelivered) {
     EnvGuard drop("XTV_TEST_DROP_FRAME_EVERY", "3");
     pid = spawn_worker("lossy", &ep, cache_path_);
   }
-  RemoteExecStats rs;
+  CoordinatorStats rs;
   const VerificationReport report = run_remote({ep}, &rs);
   reap(pid);
 
@@ -512,7 +528,7 @@ TEST_F(RemoteFixture, StalledWorkerLosesLeaseThenHealsStale) {
     EnvGuard stall("XTV_TEST_WORKER_STALL_MS", "1500");
     pid = spawn_worker("stall", &ep, cache_path_);
   }
-  RemoteExecStats rs;
+  CoordinatorStats rs;
   // 100 ms heartbeat: the 1.5 s stall blows through the 1 s (10x) expiry
   // window but wakes inside the probation window, so the worker is
   // re-admitted, its first-attempt results are all classified stale, and
@@ -526,6 +542,60 @@ TEST_F(RemoteFixture, StalledWorkerLosesLeaseThenHealsStale) {
   EXPECT_GE(rs.lease.reassignments, 1u);
   EXPECT_EQ(rs.lease.duplicate_results, 0u);
   expect_bit_identical(report);
+}
+
+TEST_F(RemoteFixture, PoisonVictimConcedesIdenticallyOnBothBackends) {
+  // One victim that kills every holder reaching it. Forked --processes
+  // holders and a two-worker TCP fleet at one victim per unit run the same
+  // policy: retry the victim elsewhere, then concede it to its
+  // conservative bound — with the same numbers and the same reason — and
+  // leave every other finding untouched.
+  const std::size_t poison = baseline_->findings[1].net;
+  EnvGuard net("XTV_TEST_CRASH_VICTIM", std::to_string(poison));
+  EnvGuard mode("XTV_TEST_CRASH_MODE", "segv");
+
+  VerifierOptions vo = spec_->to_options();
+  vo.processes = 2;
+  const VerificationReport forked =
+      ChipVerifier(*extractor_, *chars_).verify(*design_, vo);
+
+  std::string ep_a, ep_b;
+  const pid_t pid_a = spawn_worker("poison_a", &ep_a, cache_path_);
+  const pid_t pid_b = spawn_worker("poison_b", &ep_b, cache_path_);
+  const VerificationReport remote = run_remote(
+      {ep_a, ep_b}, nullptr, /*heartbeat_ms=*/100.0, /*unit_victims=*/1);
+  reap(pid_a);
+  reap(pid_b);
+
+  const VictimFinding* conceded[2] = {nullptr, nullptr};
+  const VerificationReport* runs[2] = {&forked, &remote};
+  for (int r = 0; r < 2; ++r) {
+    SCOPED_TRACE(r == 0 ? "forked holders" : "tcp workers");
+    const VerificationReport& report = *runs[r];
+    EXPECT_EQ(report.victims_shard_crashed, 1u);
+    ASSERT_EQ(report.findings.size(), baseline_->findings.size());
+    for (std::size_t i = 0; i < report.findings.size(); ++i) {
+      const VictimFinding& want = baseline_->findings[i];
+      const VictimFinding& got = report.findings[i];
+      EXPECT_EQ(got.net, want.net);
+      if (got.net == poison) {
+        EXPECT_EQ(got.status, FindingStatus::kShardCrashed);
+        EXPECT_EQ(got.error_code, StatusCode::kWorkerCrashed);
+        conceded[r] = &got;
+        continue;
+      }
+      EXPECT_EQ(got.peak, want.peak) << "net " << got.net;
+      EXPECT_EQ(got.peak_fraction, want.peak_fraction) << "net " << got.net;
+      EXPECT_EQ(got.violation, want.violation) << "net " << got.net;
+      EXPECT_EQ(got.status, want.status) << "net " << got.net;
+    }
+  }
+  ASSERT_NE(conceded[0], nullptr);
+  ASSERT_NE(conceded[1], nullptr);
+  EXPECT_EQ(conceded[0]->peak, conceded[1]->peak);
+  EXPECT_EQ(conceded[0]->peak_fraction, conceded[1]->peak_fraction);
+  EXPECT_EQ(conceded[0]->violation, conceded[1]->violation);
+  EXPECT_EQ(conceded[0]->error, conceded[1]->error);
 }
 
 }  // namespace

@@ -90,7 +90,6 @@ TEST(JobSpec, SchedulingKnobsNeverChangeTheKey) {
   JobSpec a, b;
   b.processes = 7;
   b.heartbeat_ms = 10.0;
-  b.restarts = 9;
   b.deadline_ms = 1.0;
   b.retries = 0;
   EXPECT_EQ(a.key(), b.key());
@@ -106,7 +105,7 @@ TEST(JobSpec, RejectsMalformedAndOutOfRangeSpecs) {
       "audit_fraction=1.5", "audit_fraction=-0.1",
       "cert_tol=0",         "cert_freqs=0",    "max_mor_order=0",
       "latch_only=yes",     "retries=2.5",     "frobnicate=1",
-      "threshold",          "=1",
+      "threshold",          "=1",              "restarts=2",
   };
   for (const char* text : bad) {
     SCOPED_TRACE(text);

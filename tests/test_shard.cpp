@@ -1,11 +1,10 @@
-// Process-isolated shard execution tests (DESIGN.md §12). The contract
-// under test: a clean multi-process run is bit-identical to the
-// in-process one; a worker that dies (abort, SIGSEGV, SIGKILL) loses only
-// its in-flight victim, which is quarantined into a fresh process and —
-// if it crashes that process too — conceded as kShardCrashed with a
-// finite conservative bound; the merged journal is written atomically and
-// resumes cleanly, including after a killed supervisor leaves shard
-// journals behind.
+// Process-isolated execution tests (DESIGN.md §12). The contract under
+// test: a clean multi-process run is bit-identical to the in-process one;
+// a forked holder that dies (abort, SIGSEGV, SIGKILL) fails only the
+// victim it held, which is retried on another holder and — if it kills
+// that one too — conceded as kShardCrashed with a finite conservative
+// bound; the merged journal is written atomically and resumes cleanly,
+// including after a killed coordinator leaves shard journals behind.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -22,7 +21,6 @@
 #include "core/verifier.h"
 #include "core/wire.h"
 #include "util/fault_injection.h"
-#include "util/subprocess.h"
 
 namespace xtv {
 namespace {
@@ -160,12 +158,12 @@ TEST_F(ShardFixture, WireFramesRoundTripThroughArbitraryChunking) {
   rec.finding.error = "with spaces\nand a newline";
 
   std::vector<WireFrame> sent;
-  sent.push_back({WireType::kHello, "0 1234"});
-  sent.push_back({WireType::kVictimStart, "42"});
+  sent.push_back({WireType::kWorkerReady, "00000000000000ab 1234"});
+  sent.push_back({WireType::kUnitAssign, "3 1 42 43"});
   sent.push_back({WireType::kHeartbeat, "7"});
-  sent.push_back({WireType::kVictimDone, journal_encode(rec)});
-  sent.push_back({WireType::kVictimSkipped, "43"});
-  sent.push_back({WireType::kShardDone, "1"});
+  sent.push_back({WireType::kUnitResult, journal_encode(rec)});
+  sent.push_back({WireType::kUnitResult, "3 1 s 43"});
+  sent.push_back({WireType::kUnitDone, "3 1 1"});
 
   std::string stream;
   for (const auto& f : sent) stream += wire_encode_frame(f.type, f.payload);
@@ -186,7 +184,7 @@ TEST_F(ShardFixture, WireFramesRoundTripThroughArbitraryChunking) {
   EXPECT_FALSE(decoder.corrupt());
   EXPECT_EQ(decoder.buffered(), 0u);
 
-  // The victim-done payload decodes back bit-exactly.
+  // The result payload decodes back bit-exactly.
   JournalRecord back;
   ASSERT_TRUE(journal_decode(got[3].payload, back));
   EXPECT_EQ(back.finding.peak, rec.finding.peak);
@@ -194,10 +192,10 @@ TEST_F(ShardFixture, WireFramesRoundTripThroughArbitraryChunking) {
 }
 
 TEST_F(ShardFixture, WireDecoderLatchesCorruptionAndKeepsTornTails) {
-  const std::string good = wire_encode_frame(WireType::kVictimStart, "5");
+  const std::string good = wire_encode_frame(WireType::kHeartbeat, "5");
 
   // A truncated final frame is not corruption — it is the expected torn
-  // tail of a crashed worker.
+  // tail of a crashed holder.
   WireDecoder torn;
   torn.feed(good.data(), good.size());
   torn.feed(good.data(), good.size() / 2);
@@ -227,9 +225,13 @@ TEST_F(ShardFixture, WireDecoderLatchesCorruptionAndKeepsTornTails) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash markers and atomic journal finalization.
+// Legacy crash markers and atomic journal finalization.
 
 TEST_F(ShardFixture, CrashMarkerWritesParseAndResumeTruncatesThem) {
+  // Shard journals from older builds can end in the crash marker a dying
+  // worker's signal handler wrote ("xtvjc <victim> <signal>"). Such a
+  // journal must still load and resume: the marker ends the intact
+  // prefix, and resume truncates it away.
   const std::string path = temp_path("xtv_marker.journal");
   {
     ResultJournal journal(path, /*resume=*/false, /*options_hash=*/0x5eed,
@@ -237,22 +239,19 @@ TEST_F(ShardFixture, CrashMarkerWritesParseAndResumeTruncatesThem) {
     JournalRecord rec;
     rec.finding.net = 5;
     journal.append(rec);
-    // What the async-signal-safe handler would emit on SIGSEGV.
-    subprocess::write_crash_marker(journal.fd(), 77, SIGSEGV);
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "xtvjc 77 " << SIGSEGV << "\n";
   }
   auto loaded = ResultJournal::load(path);
   ASSERT_EQ(loaded.records.size(), 1u);
   EXPECT_EQ(loaded.records[0].finding.net, 5u);
-  ASSERT_EQ(loaded.crash_markers.size(), 1u);
-  EXPECT_EQ(loaded.crash_markers[0].victim, 77u);
-  EXPECT_EQ(loaded.crash_markers[0].sig, SIGSEGV);
-  // The marker is *outside* the intact prefix: resume truncates it away.
   EXPECT_TRUE(loaded.tail_discarded);
 
   { ResultJournal reopened(path, /*resume=*/true, 0x5eed); }
   auto after = ResultJournal::load(path);
   EXPECT_EQ(after.records.size(), 1u);
-  EXPECT_TRUE(after.crash_markers.empty());
   EXPECT_FALSE(after.tail_discarded);
   std::remove(path.c_str());
 }
@@ -335,7 +334,7 @@ TEST_F(ShardFixture, ProcessRunMatchesInProcessBitExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// The quarantine ladder.
+// Retry elsewhere, then concede.
 
 TEST_F(ShardFixture, CrashedVictimIsQuarantinedThenConcededWithFiniteBound) {
   const VerificationReport& clean = baseline_report();
@@ -354,9 +353,9 @@ TEST_F(ShardFixture, CrashedVictimIsQuarantinedThenConcededWithFiniteBound) {
     crashed = verifier.verify(*design_, options);
   }
 
-  // The shard crashed at the victim, its solo quarantine retry crashed
-  // again (the hook re-fires in the fresh process), and a bound-only
-  // process conceded it.
+  // The holder crashed at the victim, the retry on another holder
+  // crashed again (the hook re-fires in every holder), and the
+  // coordinator conceded it to its conservative bound.
   EXPECT_EQ(crashed.worker_crashes, 2u);
   EXPECT_EQ(crashed.victims_quarantined, 1u);
   EXPECT_EQ(crashed.shard_restarts, 1u);
@@ -399,7 +398,7 @@ TEST_F(ShardFixture, CrashOnceRecoversFullyViaTheQuarantineRetry) {
   }
   std::remove(once.c_str());
 
-  // One crash, one quarantine — and the solo fresh-process retry ran
+  // One crash, one failed lease — and the retry on another holder ran
   // clean, so the report is indistinguishable from a crash-free run.
   EXPECT_EQ(report.worker_crashes, 1u);
   EXPECT_EQ(report.victims_quarantined, 1u);
@@ -409,10 +408,10 @@ TEST_F(ShardFixture, CrashOnceRecoversFullyViaTheQuarantineRetry) {
 }
 
 TEST_F(ShardFixture, InjectedSigkillConcedesVictimAndJournalResumesCleanly) {
-  // The acceptance scenario: --processes 4, a worker SIGKILLed on a known
-  // victim twice (initial + quarantine retry), so the victim is conceded
-  // with a finite conservative bound; everything else is bit-identical,
-  // and the merged journal resumes cleanly.
+  // The acceptance scenario: --processes 4, a holder SIGKILLed on a known
+  // victim twice (first lease + the retry elsewhere), so the victim is
+  // conceded with a finite conservative bound; everything else is
+  // bit-identical, and the merged journal resumes cleanly.
   const VerificationReport& clean = baseline_report();
   const std::size_t victim = clean.findings[2].net;
 
@@ -454,38 +453,8 @@ TEST_F(ShardFixture, InjectedSigkillConcedesVictimAndJournalResumesCleanly) {
   std::remove(options.journal_path.c_str());
 }
 
-TEST_F(ShardFixture, SupervisorSynthesizesRecordWhenEvenTheBoundCrashes) {
-  // Kill the worker on the victim three times: initial shard, quarantine
-  // retry, and the bound-only concession process. The supervisor then
-  // has nothing left to run and synthesizes the maximally pessimistic
-  // record itself.
-  const VerificationReport& clean = baseline_report();
-  const std::size_t victim = clean.findings[3].net;
-
-  ChipVerifier verifier(*extractor_, *chars_);
-  VerifierOptions options = fast_options();
-  options.processes = 2;
-
-  VerificationReport report;
-  {
-    EnvGuard hook("XTV_TEST_SHARD_KILL_ON_START",
-                  std::to_string(victim) + ":3");
-    report = verifier.verify(*design_, options);
-  }
-  EXPECT_EQ(report.worker_crashes, 3u);
-  EXPECT_EQ(report.victims_shard_crashed, 1u);
-  const VictimFinding* f = find_net(report, victim);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->status, FindingStatus::kShardCrashed);
-  EXPECT_EQ(f->error_code, StatusCode::kWorkerCrashed);
-  EXPECT_EQ(f->peak, -kTech.vdd);  // |peak| = Vdd: still finite
-  EXPECT_EQ(f->peak_fraction, 1.0);
-  EXPECT_TRUE(f->violation);
-  expect_reports_equal_except(clean, report, static_cast<long long>(victim));
-}
-
 // ---------------------------------------------------------------------------
-// Resume after a killed supervisor.
+// Resume after a killed coordinator.
 
 TEST_F(ShardFixture, ResumeFoldsLeftoverShardJournalsIn) {
   const std::string path = temp_path("xtv_shard_fold.journal");
@@ -496,7 +465,7 @@ TEST_F(ShardFixture, ResumeFoldsLeftoverShardJournalsIn) {
   const VerificationReport full = verifier.verify(*design_, options);
   ASSERT_GT(full.victims_eligible, 8u);
 
-  // Simulate a supervisor killed mid-run: the base journal holds the
+  // Simulate a coordinator killed mid-run: the base journal holds the
   // first half of the records, a leftover shard journal holds the next
   // quarter, and the rest was never analyzed.
   std::vector<std::string> lines;
@@ -590,7 +559,7 @@ TEST_F(ShardFixture, MaxVictimsForcesTheInProcessPath) {
   options.max_victims = 3;
   const VerificationReport report = verifier.verify(*design_, options);
   // The cap is honored (process mode would have ignored it) and no
-  // process-shard machinery ran.
+  // holder was ever forked.
   EXPECT_LE(report.victims_analyzed, 3u);
   EXPECT_EQ(report.worker_crashes, 0u);
 }

@@ -1,5 +1,5 @@
-// Negative-path tests for the xwf1 wire format (core/wire.h). The shard
-// supervisor and the serve daemon both treat a corrupt stream as a
+// Negative-path tests for the xwf1 wire format (core/wire.h). The lease
+// coordinator and the serve daemon both treat a corrupt stream as a
 // crashed peer, so the decoder's job is to (a) never yield a frame that
 // was not sent, (b) latch corruption permanently, and (c) treat a
 // truncated tail as incomplete — not corrupt — because a torn final
@@ -35,7 +35,7 @@ std::vector<WireFrame> decode_all(const std::string& stream,
 TEST(WireNegative, TruncationAtEveryBoundaryByteIsIncompleteNotCorrupt) {
   const std::string payload = "42 some finding payload";
   const std::string frame =
-      wire_encode_frame(WireType::kVictimDone, payload);
+      wire_encode_frame(WireType::kUnitResult, payload);
   ASSERT_EQ(frame.size(), kHeaderBytes + payload.size() + kChecksumBytes);
 
   for (std::size_t cut = 0; cut < frame.size(); ++cut) {
@@ -50,7 +50,7 @@ TEST(WireNegative, TruncationAtEveryBoundaryByteIsIncompleteNotCorrupt) {
     // The stream resumes: the tail bytes complete the frame bit-exactly.
     d.feed(frame.data() + cut, frame.size() - cut);
     ASSERT_TRUE(d.next(&f));
-    EXPECT_EQ(f.type, WireType::kVictimDone);
+    EXPECT_EQ(f.type, WireType::kUnitResult);
     EXPECT_EQ(f.payload, payload);
     EXPECT_FALSE(d.corrupt());
     EXPECT_EQ(d.buffered(), 0u);
