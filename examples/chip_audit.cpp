@@ -32,7 +32,8 @@
 //   --cluster-repeat-skew S   jitter replicated-row receiver loads by a
 //                             relative factor up to S (defeats exact cache
 //                             fingerprints; pairs with --canonical-cache)
-//   --mor-order Q             starting reduced-model order (default 16)
+//   --mor-order Q             starting reduced-model order (default 0 =
+//                             automatic: min(4 x ports, cluster nodes))
 //   --certify                 a-posteriori accuracy certificates + escalation
 //   --cert-tol T              max relative transfer-fn error (default 0.02)
 //   --cert-freqs N            sample frequencies per certificate (default 5)

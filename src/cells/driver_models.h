@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "cells/characterize.h"
 #include "netlist/circuit.h"
@@ -22,6 +23,9 @@ class TheveninDriver final : public OnePortDevice {
 
   double current(double v, double t) const override;
   double conductance(double v, double t) const override;
+  void append_corners(std::vector<double>& times) const override {
+    voltage_.append_corners(times);
+  }
 
   double resistance() const { return ohms_; }
 
@@ -48,6 +52,11 @@ class NonlinearTableDriver final : public OnePortDevice {
 
   double current(double v, double t) const override;
   double conductance(double v, double t) const override;
+  /// The corners of the warped input wave: those are where the drive
+  /// current's slope changes.
+  void append_corners(std::vector<double>& times) const override {
+    input_.append_corners(times);
+  }
 
   /// Intrinsic output capacitance to add at the driven net.
   double output_cap() const { return model_->output_cap; }

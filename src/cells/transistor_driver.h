@@ -13,6 +13,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "cells/cell_library.h"
 #include "netlist/circuit.h"
@@ -32,6 +33,9 @@ class TransistorDcDriver final : public OnePortDevice {
 
   double current(double v, double t) const override;
   double conductance(double v, double t) const override;
+  void append_corners(std::vector<double>& times) const override {
+    input_.append_corners(times);
+  }
 
   /// Number of distinct DC operating points solved so far (cache size).
   std::size_t solves() const { return cache_.size(); }

@@ -427,6 +427,7 @@ GlitchResult GlitchAnalyzer::simulate_reduced(
   ReducedSimOptions ropt;
   ropt.tstop = options.tstop;
   ropt.dt = options.dt;
+  ropt.lte_vtol = options.lte_vtol;
   ropt.cancel = options.cancel;
   const ReducedSimResult res = sim.run(ropt);
   check_finite_waves(res.port_voltages, "GlitchAnalyzer::analyze");

@@ -41,7 +41,12 @@ struct GlitchAnalysisOptions {
   DriverModelKind driver_model = DriverModelKind::kNonlinearTable;
   double fixed_resistance = 1e3;   ///< used by kFixedResistor
   double tstop = 4e-9;
-  double dt = 2e-12;
+  double dt = 2e-12;               ///< finest nominal step of both engines
+  /// Error tolerance (V) of the reduced transient's step controller
+  /// (ReducedSimOptions::lte_vtol): victim analyses and alignment probes
+  /// step adaptively between dt and 16 dt. 0 = the fixed step dt. The
+  /// golden path keeps its fixed step.
+  double lte_vtol = 1e-3;
   SympvlOptions mor;               ///< reduction controls (MOR path)
   bool align_aggressors = true;    ///< worst-case peak alignment pass
   /// Allow the golden engine to reuse factorizations on linear circuits

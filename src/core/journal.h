@@ -6,7 +6,7 @@
 // analyzed) to an append-only text journal:
 //
 //   xtvjh <options-hash>                      (header, first line)
-//   xtvj1 <payload> <fnv1a-64 checksum of payload>\n
+//   xtvj2 <payload> <fnv1a-64 checksum of payload>\n
 //
 // The header stamps the FNV-1a hash of the result-affecting
 // VerifierOptions (see options_result_hash); a --resume against a journal

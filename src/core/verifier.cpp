@@ -102,6 +102,8 @@ std::uint64_t options_result_hash(const VerifierOptions& o) {
   // Appended at the end to keep the field order stable for older fields.
   h.u64(o.canonical_cache ? 1 : 0);
   h.f64(o.canonical_cache_tol);
+  // The reduced transient's step tolerance moves every peak it computes.
+  h.f64(o.glitch.lte_vtol);
   return h.h;
 }
 

@@ -1,5 +1,6 @@
 #include "linalg/cholesky.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -22,14 +23,29 @@ Cholesky::Cholesky(const DenseMatrix& g, double tol) {
     max_diag = std::max(max_diag, std::fabs(g(i, i)));
   const double floor = tol * (max_diag > 0.0 ? max_diag : 1.0);
 
+  // The envelope of upper G, which F shares.
+  first_.assign(n, 0);
+  row_end_.assign(n, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    std::size_t k = 0;
+    while (k < j && g(k, j) == 0.0) ++k;
+    first_[j] = k;
+    row_end_[k] = std::max(row_end_[k], j + 1);
+  }
+  for (std::size_t i = 1; i < n; ++i)
+    row_end_[i] = std::max(row_end_[i], row_end_[i - 1]);
+
   // Build the upper factor row by row: F(i,j) for j >= i, so that
-  // G = F^T F. This is the classic algorithm on the transposed convention.
+  // G = F^T F. This is the classic algorithm on the transposed convention,
+  // with the inner products started where both columns' envelopes begin.
   FpKernelGuard fp("cholesky_factor");
   f_ = DenseMatrix(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
+    for (std::size_t j = i; j < row_end_[i]; ++j) {
+      if (first_[j] > i) continue;  // above column j's envelope: stays 0
       double s = g(i, j);
-      for (std::size_t k = 0; k < i; ++k) s -= f_(k, i) * f_(k, j);
+      for (std::size_t k = std::max(first_[i], first_[j]); k < i; ++k)
+        s -= f_(k, i) * f_(k, j);
       if (i == j) {
         if (s <= floor)
           throw NumericalError(StatusCode::kCholeskyBreakdown,
@@ -50,7 +66,7 @@ Vector Cholesky::apply_f(const Vector& v) const {
   for (std::size_t i = 0; i < n; ++i) {
     const double* row = f_.row(i);
     double s = 0.0;
-    for (std::size_t j = i; j < n; ++j) s += row[j] * v[j];
+    for (std::size_t j = i; j < row_end_[i]; ++j) s += row[j] * v[j];
     x[i] = s;
   }
   return x;
@@ -63,7 +79,7 @@ Vector Cholesky::solve_f(const Vector& b) const {
   for (std::size_t ii = n; ii-- > 0;) {
     const double* row = f_.row(ii);
     double s = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= row[j] * x[j];
+    for (std::size_t j = ii + 1; j < row_end_[ii]; ++j) s -= row[j] * x[j];
     x[ii] = s / row[ii];
   }
   return x;
@@ -76,7 +92,7 @@ Vector Cholesky::solve_ft(const Vector& b) const {
   // F^T is lower triangular with (F^T)(i,j) = F(j,i).
   for (std::size_t i = 0; i < n; ++i) {
     double s = b[i];
-    for (std::size_t j = 0; j < i; ++j) s -= f_(j, i) * x[j];
+    for (std::size_t j = first_[i]; j < i; ++j) s -= f_(j, i) * x[j];
     x[i] = s / f_(i, i);
   }
   return x;

@@ -5,7 +5,16 @@
 // that factorization together with the triangular solves needed to apply
 // F^{-1} and F^{-T} without ever forming A = F^{-T} C F^{-1} column products
 // through an explicit inverse.
+//
+// Storage is dense, but the work follows the envelope: column j of F is
+// zero above the first nonzero row of column j of upper G (a Cholesky
+// factor fills nothing above the envelope), so the factorization and the
+// solves loop only inside it. Every skipped term is an exact zero, in the
+// order the dense loops would have met it, so the values are those of the
+// dense algorithm. Per-net RC chains in natural order have no fill at all.
 #pragma once
+
+#include <vector>
 
 #include "linalg/dense_matrix.h"
 
@@ -42,6 +51,10 @@ class Cholesky {
 
  private:
   DenseMatrix f_;
+  /// first_[j]: first structurally nonzero row of column j of F.
+  std::vector<std::size_t> first_;
+  /// row_end_[i]: one past the last nonzero column of row i of F.
+  std::vector<std::size_t> row_end_;
 };
 
 }  // namespace xtv

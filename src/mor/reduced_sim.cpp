@@ -13,8 +13,15 @@
 #include "util/fp_guard.h"
 #include "util/resource.h"
 #include "util/status.h"
+#include "util/step_control.h"
 
 namespace xtv {
+
+namespace {
+// Growth cap of the error-controlled step, in base steps: at dt = 2 ps a
+// quiet 4 ns tail then costs about 125 steps instead of 2000.
+constexpr double kMaxStepGrowth = 16.0;
+}  // namespace
 
 ReducedEigenSystem diagonalize_reduced(const ReducedModel& model) {
   // Diagonalize T = Q^T D Q once; the whole transient then runs in the
@@ -78,6 +85,12 @@ void ReducedSimulator::bind_configuration() {
     nl_ports_.push_back(port);
     nl_devs_.push_back(dev.get());
   }
+  current_ports_.clear();
+  for (const auto& [port, wave] : input_list_) current_ports_.push_back(port);
+  current_ports_.insert(current_ports_.end(), nl_ports_.begin(), nl_ports_.end());
+  std::sort(current_ports_.begin(), current_ports_.end());
+  current_ports_.erase(std::unique(current_ports_.begin(), current_ports_.end()),
+                       current_ports_.end());
   const std::size_t m = nl_ports_.size();
   u_cols_.assign(q * m, 0.0);
   for (std::size_t i = 0; i < q; ++i)
@@ -127,19 +140,27 @@ bool ReducedSimulator::newton_solve(Vector& x, double t, double alpha,
   for (int iter = 0; iter < max_newton; ++iter) {
     ++iterations;
     fp.rearm();
-    // Port voltages and total currents at the trial point.
-    matvec_transposed_into(eta_, x, sc.vports);
+    // Total currents at the trial point. Only the nonlinear ports'
+    // voltages are needed: V_k = (U^T x)_k, summed in eta^T x's order.
     sc.itotal = sc.u;
     sc.g.assign(m, 0.0);
     for (std::size_t k = 0; k < m; ++k) {
-      const std::size_t port = nl_ports_[k];
-      sc.itotal[port] += nl_devs_[k]->current(sc.vports[port], t);
-      sc.g[k] = nl_devs_[k]->conductance(sc.vports[port], t);
+      double v = 0.0;
+      for (std::size_t i = 0; i < q; ++i) v += u_cols_[i * m + k] * x[i];
+      sc.itotal[nl_ports_[k]] += nl_devs_[k]->current(v, t);
+      sc.g[k] = nl_devs_[k]->conductance(v, t);
     }
 
     // Residual F = (I + alpha D) x + D beta - eta * itotal; r = -F is the
-    // Newton RHS.
-    matvec_into(eta_, sc.itotal, sc.eta_i);
+    // Newton RHS. i_total is exactly +0 off current_ports_, and skipping
+    // those terms leaves every ascending sum unchanged.
+    sc.eta_i.assign(q, 0.0);
+    for (std::size_t i = 0; i < q; ++i) {
+      const double* row = eta_.row(i);
+      double acc = 0.0;
+      for (const std::size_t port : current_ports_) acc += row[port] * sc.itotal[port];
+      sc.eta_i[i] = acc;
+    }
     sc.r.assign(q, 0.0);
     for (std::size_t i = 0; i < q; ++i)
       sc.r[i] = sc.eta_i[i] - ((1.0 + alpha * d_[i]) * x[i] + d_beta[i]);
@@ -212,7 +233,8 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
 
   // Charge the expected waveform storage (2 doubles per sample per port)
   // up front, so an over-budget transient fails before the time loop runs
-  // rather than after minutes of stepping.
+  // rather than after minutes of stepping. dt is the finest nominal step,
+  // so this is the fixed-step count, an upper bound for the adaptive run.
   resource::ScopedCharge wave_bytes;
   wave_bytes.add((static_cast<std::size_t>(options.tstop / dt) + 2) * p * 2 *
                  sizeof(double));
@@ -234,24 +256,29 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
   const std::size_t expected_samples =
       static_cast<std::size_t>(options.tstop / dt) + 2;
   for (auto& wave : result.port_voltages) wave.reserve(expected_samples);
+  // The port voltages eta^T x of a point: its error-estimate sample and,
+  // once accepted, its recorded sample.
+  Vector& v = scratch_.rec;
   auto record = [&](double t) {
-    Vector& v = scratch_.rec;
-    matvec_transposed_into(eta_, x, v);
     for (std::size_t pp = 0; pp < p; ++pp) result.port_voltages[pp].append(t, v[pp]);
   };
+  matvec_transposed_into(eta_, x, v);
   record(0.0);
 
-  double t = 0.0;
+  std::vector<double> corners;
+  for (const auto& [port, wave] : input_list_) wave->append_corners(corners);
+  for (const OnePortDevice* dev : nl_devs_) dev->append_corners(corners);
+  StepController steps(options.tstop, dt, options.lte_vtol, kMaxStepGrowth * dt,
+                       std::move(corners));
+  steps.start(v);
+
   Vector trial(q);
-  Vector x_acc_prev(q, 0.0);  // previous accepted state (LTE proxy)
-  double h_prev = 0.0;
-  bool have_prev = false;
-  while (t < options.tstop - 1e-18) {
-    double h = std::min(dt, options.tstop - t);
+  while (!steps.done()) {
+    steps.begin_step();
     int halvings = 0;
     for (;;) {
       poll_cancel(options.cancel, "ReducedSimulator");
-      const double a = (options.trapezoidal ? 2.0 : 1.0) / h;
+      const double a = (options.trapezoidal ? 2.0 : 1.0) / steps.step();
       // beta_k: BE: -x_{k-1}/h; TRAP: -(2/h) x_{k-1} - xdot_{k-1}.
       for (std::size_t i = 0; i < q; ++i) {
         const double beta =
@@ -260,45 +287,23 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
       }
       trial = x;
       std::size_t iters = 0;
-      const bool ok = newton_solve(trial, t + h, a, d_beta, options.max_newton,
-                                   options.v_abstol, iters);
+      const bool ok = newton_solve(trial, steps.trial_time(), a, d_beta,
+                                   options.max_newton, options.v_abstol, iters);
       result.newton_iterations += iters;
 
-      // Step-size rejection on local-truncation blowup: second-difference
-      // proxy on the port voltages, scaled for the uneven step pair.
-      if (ok && options.lte_vtol > 0.0 && have_prev &&
-          halvings < options.max_step_halvings) {
-        const double r = h / h_prev;
-        double lte = 0.0;
-        Vector& vt = scratch_.lte_vt;
-        Vector& vc = scratch_.lte_vc;
-        Vector& vp = scratch_.lte_vp;
-        matvec_transposed_into(eta_, trial, vt);
-        matvec_transposed_into(eta_, x, vc);
-        matvec_transposed_into(eta_, x_acc_prev, vp);
-        for (std::size_t pp = 0; pp < p; ++pp)
-          lte = std::max(lte,
-                         std::fabs(vt[pp] - vc[pp] - r * (vc[pp] - vp[pp])));
-        if (lte > options.lte_vtol) {
-          ++halvings;
-          ++result.step_rejections;
-          h *= 0.5;
+      if (ok) {
+        matvec_transposed_into(eta_, trial, v);
+        if (!steps.accept(v)) {
+          ++result.step_rejections;  // error estimate over tolerance
           continue;
         }
-      }
-
-      if (ok) {
         if (options.trapezoidal) {
           for (std::size_t i = 0; i < q; ++i)
             xdot[i] = a * (trial[i] - x[i]) - xdot[i];
         }
-        x_acc_prev = x;
-        h_prev = h;
-        have_prev = true;
         x = trial;
-        t += h;
         ++result.steps;
-        record(t);
+        record(steps.time());
         break;
       }
       // Newton divergence: retry the same point with a halved step before
@@ -306,9 +311,9 @@ ReducedSimResult ReducedSimulator::run(const ReducedSimOptions& options) {
       if (++halvings > options.max_step_halvings)
         throw NumericalError(StatusCode::kNewtonDivergence,
                              "ReducedSimulator: Newton failed at t=" +
-                                 std::to_string(t));
+                                 std::to_string(steps.time()));
       ++result.step_rejections;
-      h *= 0.5;
+      steps.halve();
     }
   }
   return result;

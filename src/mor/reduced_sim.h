@@ -34,15 +34,16 @@ struct ReducedSimOptions {
   bool trapezoidal = true;      ///< false = backward Euler
   double v_abstol = 1e-7;       ///< Newton convergence on port voltages (V)
   int max_newton = 50;
-  /// Local dt refinement budget: a time point whose Newton diverges (or
-  /// whose LTE estimate blows up) is retried with a halved step up to this
-  /// many times before the run reports NumericalError. Subsequent points
-  /// return to the nominal dt.
+  /// Newton-divergence budget: a time point whose Newton diverges is
+  /// retried with a halved step up to this many times before the run
+  /// reports NumericalError. Subsequent points return to at least dt.
   int max_step_halvings = 6;
-  /// Step-size rejection on local-truncation blowup: when > 0, a step
-  /// whose second-difference port-voltage LTE proxy exceeds this many
-  /// volts is rejected and retried at half the step. 0 (default) keeps
-  /// the fixed-step behavior exactly.
+  /// Error-controlled stepping (util/step_control.h) on the port voltages:
+  /// when > 0, the step grows in quiet stretches up to 16 dt, halves (never
+  /// below dt) where the second-difference error estimate exceeds this
+  /// many volts, and lands exactly on every corner of every drive wave
+  /// (the set_input waves and each termination's append_corners()).
+  /// 0 (default) is the fixed step dt, exactly.
   double lte_vtol = 0.0;
   /// Cooperative cancellation: polled once per attempted time step; an
   /// expired/cancelled token raises kDeadlineExceeded (the verifier's
@@ -55,7 +56,7 @@ struct ReducedSimResult {
   std::vector<Waveform> port_voltages;  ///< one waveform per model port
   std::size_t steps = 0;
   std::size_t newton_iterations = 0;
-  std::size_t step_rejections = 0;      ///< Newton/LTE retries at halved dt
+  std::size_t step_rejections = 0;      ///< Newton/error retries at a halved step
 };
 
 /// The diagonalized reduced system T = Q^T D Q: everything the transient
@@ -123,6 +124,9 @@ class ReducedSimulator {
   /// The configuration flattened once per run: the maps walked into
   /// arrays the inner loops index directly.
   std::vector<std::pair<std::size_t, const SourceWave*>> input_list_;
+  /// Ports that carry current (inputs and terminations), ascending: the
+  /// only nonzero entries of i_total, so eta * i_total skips the rest.
+  std::vector<std::size_t> current_ports_;
   std::vector<std::size_t> nl_ports_;
   std::vector<const OnePortDevice*> nl_devs_;
   /// eta's nonlinear-port columns packed q x m row-major (U), so the
@@ -141,8 +145,8 @@ class ReducedSimulator {
   /// Buffers are assign()ed to their full extent before use, so reuse
   /// cannot change any value.
   struct Scratch {
-    Vector u, vports, itotal, g, eta_i, r, dx, srhs, rgw, dv, msys, w;
-    Vector rec, lte_vt, lte_vc, lte_vp;
+    Vector u, itotal, g, eta_i, r, dx, srhs, rgw, dv, msys, w;
+    Vector rec;
     std::vector<std::size_t> perm;
   };
   Scratch scratch_;

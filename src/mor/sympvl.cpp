@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "linalg/cholesky.h"
 #include "linalg/dense_lu.h"
@@ -87,9 +88,30 @@ ReducedModel sympvl_reduce(const DenseMatrix& g, const DenseMatrix& c,
   resource::ScopedCharge krylov_bytes;
   krylov_bytes.add(2 * n * q_max * sizeof(double));
 
-  // A v = F^{-T} C F^{-1} v, applied without forming A.
+  // A v = F^{-T} C F^{-1} v, applied without forming A. C is applied by
+  // its nonzeros, row by row in ascending column order: the dense matvec's
+  // sums without their exact-zero terms, so the same values.
+  std::vector<std::size_t> c_row(n + 1, 0);
+  std::vector<std::size_t> c_col;
+  std::vector<double> c_val;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = c.row(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (row[j] == 0.0) continue;
+      c_col.push_back(j);
+      c_val.push_back(row[j]);
+    }
+    c_row[i + 1] = c_col.size();
+  }
+  Vector cw(n);
   auto apply_a = [&](const Vector& v) {
-    return chol.solve_ft(matvec(c, chol.solve_f(v)));
+    const Vector w = chol.solve_f(v);
+    for (std::size_t i = 0; i < n; ++i) {
+      double acc = 0.0;
+      for (std::size_t e = c_row[i]; e < c_row[i + 1]; ++e) acc += c_val[e] * w[c_col[e]];
+      cw[i] = acc;
+    }
+    return chol.solve_ft(cw);
   };
 
   // Reference scale for deflation decisions.

@@ -48,6 +48,11 @@ class SourceWave {
     return points_;
   }
 
+  /// Appends the breakpoint times: where the wave's slope can change.
+  void append_corners(std::vector<double>& times) const {
+    for (const auto& point : points_) times.push_back(point.first);
+  }
+
  private:
   // Internal representation: PWL points (size 1 == DC).
   std::vector<std::pair<double, double>> points_;
@@ -68,6 +73,11 @@ class OnePortDevice {
   /// Partial derivative d(current)/dv at (v, t) (siemens, <= 0 for
   /// passive-ish pull networks).
   virtual double conductance(double v, double t) const = 0;
+
+  /// Appends the times where the device's drive changes slope (the
+  /// corners of its input wave), so an error-controlled transient lands
+  /// on them (util/step_control.h). Time-invariant devices add none.
+  virtual void append_corners(std::vector<double>& /*times*/) const {}
 };
 
 struct Resistor {

@@ -13,6 +13,7 @@
 #include "util/log.h"
 #include "util/resource.h"
 #include "util/status.h"
+#include "util/step_control.h"
 
 namespace xtv {
 
@@ -305,65 +306,46 @@ TransientResult Simulator::transient(const TransientOptions& options,
   };
   record(0.0);
 
+  // One controller walks time: the fixed step dt0 by default, or the
+  // error-controlled step on the node voltages when adaptive.
   const std::size_t nv = static_cast<std::size_t>(circuit_.node_count() - 1);
-  Vector prev2 = x;         // state two accepted points back (LTE estimate)
-  double dt_prev = dt0;     // last accepted step size
-  bool have_two = false;
-  double dt_next = dt0;
+  std::vector<double> corners;
+  for (const auto& v : circuit_.vsources()) v.wave.append_corners(corners);
+  for (const auto& i : circuit_.isources()) i.wave.append_corners(corners);
+  for (const auto& term : circuit_.terminations())
+    term.device->append_corners(corners);
+  StepController steps(options.tstop, dt0,
+                       options.adaptive ? options.lte_vtol : 0.0,
+                       dt0 * options.max_dt_growth, std::move(corners));
+  steps.start({x.data(), nv});
 
-  double t = 0.0;
-  while (t < options.tstop - 1e-18) {
-    double dt = std::min(options.adaptive ? dt_next : dt0, options.tstop - t);
+  while (!steps.done()) {
+    steps.begin_step();
     Vector prev = x;
     int halvings = 0;
     for (;;) {
       const double geq_scale =
-          (options.method == IntegrationMethod::kTrapezoidal ? 2.0 : 1.0) / dt;
+          (options.method == IntegrationMethod::kTrapezoidal ? 2.0 : 1.0) /
+          steps.step();
       Vector trial = prev;
       std::size_t iters = 0;
-      const bool ok = newton_solve(trial, t + dt, geq_scale, options.method,
-                                   prev, gmin_, options, iters);
+      const bool ok = newton_solve(trial, steps.trial_time(), geq_scale,
+                                   options.method, prev, gmin_, options, iters);
       result.newton_iterations += iters;
 
-      if (ok && options.adaptive && have_two) {
-        // Second-difference LTE proxy on the node voltages, scaled for the
-        // possibly-uneven pair of steps.
-        double lte = 0.0;
-        const double r = dt / dt_prev;
-        for (std::size_t i = 0; i < nv; ++i) {
-          const double d2 =
-              trial[i] - prev[i] - r * (prev[i] - prev2[i]);
-          lte = std::max(lte, std::fabs(d2));
-        }
-        if (lte > options.lte_vtol && halvings < options.max_step_halvings) {
-          ++halvings;
-          dt *= 0.5;
-          continue;  // reject: retry the point with a smaller step
-        }
-        // Accepted: pick the next step from the error headroom.
-        if (lte < 0.25 * options.lte_vtol)
-          dt_next = std::min(dt * 2.0, dt0 * options.max_dt_growth);
-        else
-          dt_next = dt;
-      }
-
       if (ok) {
-        prev2 = prev;
-        dt_prev = dt;
-        have_two = true;
+        if (!steps.accept({trial.data(), nv})) continue;  // error too large
         x = trial;
         update_cap_history(x, prev, geq_scale, options.method);
-        t += dt;
         ++result.steps;
-        record(t);
+        record(steps.time());
         break;
       }
       if (++halvings > options.max_step_halvings)
         throw NumericalError(StatusCode::kNewtonDivergence,
                              "Simulator: transient Newton failed at t=" +
-                                 std::to_string(t));
-      dt *= 0.5;
-      if (options.adaptive) dt_next = dt;
+                                 std::to_string(steps.time()));
+      steps.halve();
     }
   }
   return result;

@@ -39,10 +39,11 @@ struct TransientOptions {
   /// classic refactor-every-iteration behavior).
   bool exploit_linearity = true;
 
-  /// Local-truncation-error adaptive stepping: after each accepted point
-  /// the maximum second difference of the node voltages estimates the LTE;
-  /// the step shrinks when it exceeds `lte_vtol` and grows (up to
-  /// `max_dt_growth` x the base dt) when it is comfortably below. Keeps the
+  /// Error-controlled stepping (util/step_control.h, shared with the
+  /// reduced engine): the second difference of the node voltages estimates
+  /// the LTE; the step halves (never below dt) when it exceeds `lte_vtol`,
+  /// grows (up to `max_dt_growth` x dt) when it is below a quarter of it,
+  /// and lands exactly on every source and termination corner. Keeps the
   /// fixed-step behavior when false (default).
   bool adaptive = false;
   double lte_vtol = 5e-3;      ///< volts of estimated LTE per step

@@ -168,6 +168,57 @@ TEST(Cholesky, SolveFtIsTransposeInverse) {
   EXPECT_LT(max_abs_diff(matvec(ft, x), b), 1e-10);
 }
 
+TEST(Cholesky, EnvelopeLoopsMatchTheDenseAlgorithm) {
+  // Three 4-node chains plus one long-range coupling: column 9's envelope
+  // starts at row 1 (with fill inside it), so column starts are not
+  // monotone and most of the factor lies outside the envelope.
+  const std::size_t n = 12;
+  Prng rng(10);
+  DenseMatrix g(n, n);
+  auto couple = [&](std::size_t i, std::size_t j, double v) {
+    g(i, j) = v;
+    g(j, i) = v;
+  };
+  for (std::size_t i = 0; i < n; ++i) g(i, i) = 4.0 + rng.uniform(0, 1);
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    if (i % 4 != 3) couple(i, i + 1, -rng.uniform(0.5, 1.0));
+  couple(1, 9, -0.3);
+
+  // The dense algorithm, every term included.
+  DenseMatrix f(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i; j < n; ++j) {
+      double s = g(i, j);
+      for (std::size_t k = 0; k < i; ++k) s -= f(k, i) * f(k, j);
+      f(i, j) = i == j ? std::sqrt(s) : s / f(i, i);
+    }
+  Vector b(n);
+  for (auto& x : b) x = rng.uniform(-1, 1);
+  Vector ft_ref(n), f_ref = b, apply_ref(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    for (std::size_t j = 0; j < i; ++j) s -= f(j, i) * ft_ref[j];
+    ft_ref[i] = s / f(i, i);
+  }
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = f_ref[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) s -= f(ii, j) * f_ref[j];
+    f_ref[ii] = s / f(ii, ii);
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i; j < n; ++j) apply_ref[i] += f(i, j) * b[j];
+
+  // Skipped terms are exact zeros, so the values are equal, not close.
+  const Cholesky chol(g);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      EXPECT_EQ(chol.factor()(i, j), f(i, j)) << i << "," << j;
+  EXPECT_NE(f(2, 9), 0.0);  // fill inside column 9's envelope
+  EXPECT_EQ(chol.solve_ft(b), ft_ref);
+  EXPECT_EQ(chol.solve_f(b), f_ref);
+  EXPECT_EQ(chol.apply_f(b), apply_ref);
+}
+
 TEST(Cholesky, ThrowsOnIndefinite) {
   DenseMatrix g = DenseMatrix::from_rows({{1, 2}, {2, 1}});  // eigenvalues 3, -1
   EXPECT_THROW(Cholesky{g}, std::runtime_error);

@@ -3,8 +3,10 @@
 // the properties the paper's Section 3 claims.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "cells/driver_models.h"
 #include "linalg/dense_lu.h"
 #include "mor/reduced_sim.h"
 #include "mor/sympvl.h"
@@ -403,6 +405,91 @@ TEST(ReducedSim, BackwardEulerAlsoConverges) {
   const ReducedSimResult res = sim.run(opt);
   EXPECT_EQ(res.port_voltages[0].size(), res.steps + 1);
   EXPECT_GT(res.port_voltages[0].last_value(), 0.0);
+}
+
+// An inverter-like quasi-static surface: the output is pulled toward
+// 3 V - vin through 1 mS.
+std::shared_ptr<const CellModel> toy_inverter_model() {
+  auto model = std::make_shared<CellModel>();
+  const std::vector<double> vin = {0.0, 3.0};
+  const std::vector<double> vout = {0.0, 3.0};
+  std::vector<double> z;  // z[i * vout.size() + j]: current at (vin_i, vout_j)
+  for (const double a : vin)
+    for (const double b : vout) z.push_back(1e-3 * ((3.0 - a) - b));
+  model->iv_surface = Table2D(vin, vout, z);
+  return model;
+}
+
+TEST(ReducedSim, AdaptiveStepLandsOnEveryDriveCorner) {
+  RcNetwork net = make_coupled_pair(6);
+  ReducedSimulator sim(sympvl_reduce(net));
+  const SourceWave input = SourceWave::ramp(0.0, 3e-2, 0.3e-9, 0.1e-9);
+  // A warped switching driver: its corners are those of the warped input
+  // (1.10 and 1.40 ns), not of the ramp it was given (1.05 and 1.25 ns).
+  const auto driver = std::make_shared<NonlinearTableDriver>(
+      toy_inverter_model(), SourceWave::ramp(0.0, 3.0, 1.05e-9, 0.2e-9),
+      CellModel::Warp{0.1e-9, 1.5});
+  sim.set_input(0, input);
+  sim.set_termination(1, driver);
+  ReducedSimOptions opt;
+  opt.tstop = 4e-9;
+  opt.dt = 2e-12;
+  opt.lte_vtol = 1e-3;
+  const ReducedSimResult res = sim.run(opt);
+
+  std::vector<double> corners;
+  input.append_corners(corners);
+  driver->append_corners(corners);
+  const std::vector<double>& times = res.port_voltages[1].times();
+  std::size_t inside = 0;
+  for (const double c : corners) {
+    if (c <= 0.0 || c >= opt.tstop) continue;
+    ++inside;
+    EXPECT_NE(std::find(times.begin(), times.end(), c), times.end())
+        << "corner " << c << " is not a sample time";
+  }
+  EXPECT_EQ(inside, 4u);
+  EXPECT_EQ(times.back(), opt.tstop);
+}
+
+TEST(ReducedSim, AdaptiveStepCutsStepsOnAQuietTail) {
+  RcNetwork net = make_coupled_pair(6);
+  ReducedSimulator sim(sympvl_reduce(net));
+  sim.set_input(0, SourceWave::ramp(0.0, 3e-2, 0.2e-9, 0.1e-9));
+  sim.set_termination(1, std::make_shared<CubicClamp>(0.0, 5e-4, 2e-3));
+  ReducedSimOptions opt;
+  opt.tstop = 4e-9;
+  opt.dt = 2e-12;
+  const ReducedSimResult fixed = sim.run(opt);
+  opt.lte_vtol = 1e-3;
+  const ReducedSimResult adaptive = sim.run(opt);
+
+  EXPECT_LE(adaptive.steps, 2000u);
+  EXPECT_LE(4 * adaptive.steps, fixed.steps);
+  const double peak = fixed.port_voltages[1].peak_deviation();
+  ASSERT_GT(std::fabs(peak), 0.01);  // a real glitch exists
+  EXPECT_NEAR(adaptive.port_voltages[1].peak_deviation(), peak, 0.01 * std::fabs(peak));
+  EXPECT_LT(adaptive.port_voltages[1].max_abs_error(fixed.port_voltages[1]), 2e-3);
+}
+
+TEST(ReducedSim, ZeroToleranceIsTheFixedGrid) {
+  RcNetwork net = make_coupled_pair(6);
+  ReducedSimulator sim(sympvl_reduce(net));
+  sim.set_input(0, SourceWave::ramp(0.0, 3e-2, 0.2e-9, 0.1e-9));
+  sim.set_termination(1, std::make_shared<CubicClamp>(0.0, 5e-4, 2e-3));
+  ReducedSimOptions opt;
+  opt.tstop = 4e-9;
+  opt.dt = 2e-12;
+  const ReducedSimResult res = sim.run(opt);
+  EXPECT_EQ(res.steps, 2000u);
+  const Waveform& w = res.port_voltages[1];
+  ASSERT_EQ(w.size(), 2001u);
+  // The fixed step accumulates t += min(dt, tstop - t), bit for bit.
+  double t = 0.0;
+  for (std::size_t k = 0; k < w.size(); ++k) {
+    ASSERT_EQ(w.time(k), t) << "sample " << k;
+    t += std::min(opt.dt, opt.tstop - t);
+  }
 }
 
 }  // namespace

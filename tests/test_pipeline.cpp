@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -402,6 +403,47 @@ TEST_F(PipelineFixture, OptionsHashCoversModelCacheBudget) {
   VerifierOptions b = a;
   b.model_cache_mb = 64.0;
   EXPECT_NE(options_result_hash(a), options_result_hash(b));
+  // The reduced transient's step tolerance moves every peak.
+  b = a;
+  b.glitch.lte_vtol = 0.0;
+  EXPECT_NE(options_result_hash(a), options_result_hash(b));
+}
+
+TEST_F(PipelineFixture, AdaptiveStepAgreesWithAFineFixedStep) {
+  // perfbench's reference design (chipgen's default seed, 150 nets) under
+  // chip_audit's default options, against a fixed step of dt/4.
+  DspChipOptions chip_opt;
+  chip_opt.net_count = 150;
+  const ChipDesign design = generate_dsp_chip(*lib_, chip_opt);
+  VerifierOptions adaptive;
+  adaptive.model_cache_mb = 64.0;
+  ASSERT_GT(adaptive.glitch.lte_vtol, 0.0);
+  VerifierOptions fine = adaptive;
+  fine.glitch.lte_vtol = 0.0;
+  fine.glitch.dt = adaptive.glitch.dt / 4.0;
+  ChipVerifier verifier(*extractor_, *chars_);
+  const VerificationReport a = verifier.verify(design, adaptive);
+  const VerificationReport f = verifier.verify(design, fine);
+
+  ASSERT_EQ(a.findings.size(), f.findings.size());
+  const double threshold = adaptive.glitch_threshold;
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < a.findings.size(); ++i) {
+    const VictimFinding& x = a.findings[i];
+    const VictimFinding& y = f.findings[i];
+    SCOPED_TRACE("net " + std::to_string(y.net));
+    ASSERT_EQ(x.net, y.net);
+    EXPECT_EQ(x.status, y.status);
+    if (y.peak_fraction > 0.10) {
+      ++compared;
+      EXPECT_NEAR(x.peak, y.peak, 0.01 * std::fabs(y.peak));
+    }
+    // A violation may flip only on a peak within 1% of the threshold.
+    if (x.violation != y.violation) {
+      EXPECT_NEAR(y.peak_fraction, threshold, 0.01 * threshold);
+    }
+  }
+  EXPECT_GT(compared, 10u);
 }
 
 TEST_F(PipelineFixture, VerifyExercisesWorkspacePool) {
