@@ -115,7 +115,6 @@ bool run_round(std::size_t n_workers, std::size_t jobs,
     VerifierOptions vo = spec.to_options();
     serve::RemoteExecOptions ro;
     ro.workers = eps;
-    ro.options_hash = options_result_hash(vo);
     ro.spec_text = spec.to_text();
     serve::RemoteExecutor exec(ro);
     vo.remote_backend = &exec;

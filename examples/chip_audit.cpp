@@ -15,7 +15,7 @@
 //   --cluster-deadline-ms MS  per-cluster wall-clock budget (0 = unlimited)
 //   --cluster-mem-mb MB       per-cluster memory budget (0 = unlimited)
 //   --global-mem-soft-mb MB   soft RSS limit; sheds largest queued clusters
-//   --journal PATH            append completed victims to a crash-safe journal
+//   --journal PATH            write every victim to a crash-safe journal
 //   --resume                  skip victims already in the journal (needs --journal)
 //   --model-cache-mb MB       reduced-model cache budget (default 64; repeated
 //                             cluster pencils reuse their certified model)
@@ -260,8 +260,6 @@ int main(int argc, char** argv) {
                    "result-affecting flag does not travel in a job spec)\n");
       return 2;
     }
-    remote_options.journal_path = options.journal_path;
-    remote_options.options_hash = options_result_hash(options);
     remote_options.spec_text = spec.to_text();
     remote = std::make_unique<serve::RemoteExecutor>(remote_options);
     options.remote_backend = remote.get();

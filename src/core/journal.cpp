@@ -1,9 +1,7 @@
 #include "core/journal.h"
 
-#include <dirent.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdlib>
@@ -127,33 +125,8 @@ void fsync_parent_dir(const std::string& path) {
 
 }  // namespace
 
-std::string journal_shard_path(const std::string& base, std::size_t k) {
-  return base + ".shard" + std::to_string(k);
-}
-
-std::vector<std::size_t> journal_list_shards(const std::string& base) {
-  const std::size_t slash = base.rfind('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : base.substr(0, slash);
-  const std::string prefix =
-      (slash == std::string::npos ? base : base.substr(slash + 1)) + ".shard";
-
-  std::vector<std::size_t> shards;
-  DIR* d = ::opendir(dir.empty() ? "/" : dir.c_str());
-  if (!d) return shards;
-  while (struct dirent* e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (name.size() <= prefix.size() ||
-        name.compare(0, prefix.size(), prefix) != 0)
-      continue;
-    const std::string suffix = name.substr(prefix.size());
-    std::size_t k = 0;
-    if (!parse_size(suffix, k)) continue;  // e.g. ".shard0.tmp"
-    shards.push_back(k);
-  }
-  ::closedir(d);
-  std::sort(shards.begin(), shards.end());
-  return shards;
+std::string journal_insurance_path(const std::string& base) {
+  return base + ".shard0";
 }
 
 std::string journal_encode(const JournalRecord& record) {
@@ -292,60 +265,16 @@ ResultJournal::LoadResult ResultJournal::load(const std::string& path) {
   return result;
 }
 
-ResultJournal::ResultJournal(const std::string& path, bool resume,
-                             std::uint64_t options_hash,
-                             std::size_t flush_every)
-    : path_(path), flush_every_(flush_every > 0 ? flush_every : 1) {
-  bool write_header = true;
-  if (resume) {
-    // Cut the torn tail (if any) so fresh appends follow intact records.
-    const LoadResult prior = load(path);
-    if (prior.tail_discarded)
-      logf(LogLevel::kWarn,
-           "journal %s: discarding torn tail past %zu intact record(s) "
-           "(interrupted write); resuming from the intact prefix",
-           path.c_str(), prior.records.size());
-    if (prior.valid_bytes > 0) {
-      // Findings are only comparable across runs with identical
-      // result-affecting options; the header is the proof.
-      if (!prior.has_header)
-        throw NumericalError(StatusCode::kInvalidInput,
-                             "ResultJournal: cannot resume " + path +
-                                 ": journal has no options header");
-      if (prior.header_hash != options_hash) {
-        char msg[160];
-        std::snprintf(msg, sizeof(msg),
-                      "journal options hash %016" PRIx64
-                      " does not match current options hash %016" PRIx64
-                      "; re-run without --resume",
-                      prior.header_hash, options_hash);
-        throw NumericalError(StatusCode::kInvalidInput,
-                             "ResultJournal: cannot resume " + path + ": " +
-                                 msg);
-      }
-    }
-    file_ = std::fopen(path.c_str(), prior.valid_bytes > 0 ? "r+b" : "wb");
-    if (file_ && prior.valid_bytes > 0) {
-      if (ftruncate(fileno(file_), prior.valid_bytes) != 0) {
-        std::fclose(file_);
-        file_ = nullptr;
-      } else {
-        std::fseek(file_, 0, SEEK_END);
-        write_header = false;  // intact header already on disk
-      }
-    }
-  } else {
-    file_ = std::fopen(path.c_str(), "wb");
-  }
+ResultJournal::ResultJournal(const std::string& path,
+                             std::uint64_t options_hash)
+    : file_(std::fopen(path.c_str(), "wb")) {
   if (!file_)
     throw NumericalError(StatusCode::kInvalidInput,
                          "ResultJournal: cannot open " + path);
-  if (write_header) {
-    const std::string line = format_header_line(options_hash);
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fflush(file_);
-    fsync(fileno(file_));
-  }
+  const std::string line = format_header_line(options_hash);
+  std::fwrite(line.data(), 1, line.size(), file_);
+  std::fflush(file_);
+  fsync(fileno(file_));
 }
 
 void ResultJournal::write_atomic(const std::string& path,
@@ -379,30 +308,40 @@ void ResultJournal::write_atomic(const std::string& path,
   fsync_parent_dir(path);
 }
 
-ResultJournal::~ResultJournal() {
-  if (!file_) return;
-  std::fflush(file_);
-  fsync(fileno(file_));
-  std::fclose(file_);
-}
+ResultJournal::~ResultJournal() { std::fclose(file_); }
 
 void ResultJournal::append(const JournalRecord& record) {
   const std::string line = format_record_line(record);
 
   std::lock_guard<std::mutex> lock(mutex_);
   std::fwrite(line.data(), 1, line.size(), file_);
-  if (++unflushed_ >= flush_every_) {
-    std::fflush(file_);
-    fsync(fileno(file_));
-    unflushed_ = 0;
-  }
-}
-
-void ResultJournal::flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::fflush(file_);
   fsync(fileno(file_));
-  unflushed_ = 0;
+}
+
+RunJournal load_run_journal(const std::string& base,
+                            std::uint64_t options_hash) {
+  RunJournal run;
+  ResultJournal::LoadResult prior = ResultJournal::load(base);
+  run.base_hash = prior.header_hash;
+  if (prior.has_header && prior.header_hash == options_hash) {
+    for (auto& rec : prior.records)
+      run.records.insert_or_assign(rec.finding.net, std::move(rec));
+  } else {
+    run.base_mismatch = prior.valid_bytes > 0;
+  }
+  const std::string insurance = journal_insurance_path(base);
+  ResultJournal::LoadResult extra = ResultJournal::load(insurance);
+  if (extra.has_header && extra.header_hash == options_hash) {
+    for (auto& rec : extra.records) {
+      run.records.insert_or_assign(rec.finding.net, std::move(rec));
+      run.folded_insurance = true;
+    }
+  } else if (extra.valid_bytes > 0) {
+    logf(LogLevel::kWarn, "journal: ignoring %s (options hash mismatch)",
+         insurance.c_str());
+  }
+  return run;
 }
 
 }  // namespace xtv

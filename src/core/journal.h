@@ -1,9 +1,18 @@
 // Crash-safe result journal for resumable chip verification.
 //
 // A full-chip audit is a multi-hour batch job; a killed process must not
-// forfeit the victims already analyzed. The verifier therefore appends
-// one record per *completed* eligible victim (screened-out or fully
-// analyzed) to an append-only text journal:
+// forfeit the victims already analyzed. With a journal path set,
+// verify() keeps two files:
+//
+//   <journal>.shard0  the insurance file: every settled eligible victim
+//                     (screened-out or fully analyzed) is appended in
+//                     settle order and fsync'd before anyone sees it, on
+//                     every backend;
+//   <journal>         the result: written once, atomically, in stable
+//                     candidate order when the sweep ends, after which
+//                     the insurance file is removed.
+//
+// Both use one line format:
 //
 //   xtvjh <options-hash>                      (header, first line)
 //   xtvj2 <payload> <fnv1a-64 checksum of payload>\n
@@ -15,17 +24,17 @@
 //
 // Doubles are serialized as C hexfloats, so a journaled finding
 // round-trips bit-exactly and a resumed run reproduces the uninterrupted
-// report verbatim. Appends are batched and fsync'd every `flush_every`
-// records (and on close), bounding lost work to one batch.
+// report verbatim.
 //
-// A process killed mid-write leaves a torn final line; load() verifies
+// A process killed mid-append leaves a torn final line; load() verifies
 // each record's checksum and field count and stops at the first bad one,
-// returning only the intact prefix plus its byte offset so the writer
-// can truncate the torn tail before appending fresh records.
+// returning only the intact prefix. A resume reads a killed run's records
+// through load_run_journal(): the result file, then the insurance file.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -49,26 +58,35 @@ std::string journal_encode(const JournalRecord& record);
 /// Decodes a payload line; returns false on any malformed field.
 bool journal_decode(const std::string& payload, JournalRecord& record);
 
-/// Shard journal path `<base>.shard<k>`: the lease coordinator's
-/// insurance journal is shard 0 (core/shard_exec.h); older builds wrote
-/// one per worker process. Centralized so the coordinator, resume, and
-/// cleanup agree on the naming.
-std::string journal_shard_path(const std::string& base, std::size_t k);
+/// The insurance file of the journal at `base`: `<base>.shard0`. The name
+/// is the one older builds gave their coordinator's journal, so a file a
+/// killed older run left behind still folds into a resume.
+std::string journal_insurance_path(const std::string& base);
 
-/// Shard indices `k` for which `<base>.shard<k>` exists on disk, sorted
-/// ascending. Scans the containing directory rather than probing k = 0,
-/// 1, ... until the first miss: leftover shard files need not be
-/// contiguous (a crashed run under a different worker count can leave
-/// `.shard3` behind without `.shard0`), and every cleanup/fold site must
-/// see all of them or stale records get re-folded into a later resume.
-std::vector<std::size_t> journal_list_shards(const std::string& base);
+/// A run's settled records, keyed by net, as a resume or the serve daemon
+/// reads them back.
+struct RunJournal {
+  std::map<std::size_t, JournalRecord> records;
+  /// `base` holds intact bytes without a header or under another options
+  /// hash, so it added nothing; `base_hash` is its header hash (0 when
+  /// there is none). A resume refuses such a journal.
+  bool base_mismatch = false;
+  std::uint64_t base_hash = 0;
+  /// Some record came from the insurance file.
+  bool folded_insurance = false;
+};
+
+/// Loads the intact records of `base`, then those of its insurance file
+/// on top. A file whose header does not carry `options_hash` adds
+/// nothing (a mismatched insurance file is logged).
+RunJournal load_run_journal(const std::string& base,
+                            std::uint64_t options_hash);
 
 class ResultJournal {
  public:
   struct LoadResult {
     std::vector<JournalRecord> records;
-    /// Byte offset just past the last intact record — the truncation
-    /// point for a writer resuming after a crash.
+    /// Byte offset just past the last intact record.
     long valid_bytes = 0;
     /// True when bytes past valid_bytes were present: a torn or corrupt
     /// tail, or the `xtvjc <victim> <signal>` crash-marker line older
@@ -83,43 +101,31 @@ class ResultJournal {
   /// journal, not an error.
   static LoadResult load(const std::string& path);
 
-  /// Opens `path` for appending. With `resume` false the file is
-  /// truncated and a header stamping `options_hash` is written; with
-  /// `resume` true it is truncated only past the intact prefix (discarding
-  /// a torn tail), appends continue after it, and the existing header must
-  /// match `options_hash` — a mismatch (or a header-less non-empty
-  /// journal) throws NumericalError(kInvalidInput), as does a file that
-  /// cannot be opened. Records are fsync'd every `flush_every` appends.
-  ResultJournal(const std::string& path, bool resume,
-                std::uint64_t options_hash = 0, std::size_t flush_every = 16);
+  /// Creates `path` (truncating any old file) with a header stamping
+  /// `options_hash`. Throws NumericalError(kInvalidInput) when the file
+  /// cannot be opened.
+  ResultJournal(const std::string& path, std::uint64_t options_hash);
   ~ResultJournal();
 
   ResultJournal(const ResultJournal&) = delete;
   ResultJournal& operator=(const ResultJournal&) = delete;
 
-  /// Appends one record (thread-safe; workers call this directly).
+  /// Appends one record and fsyncs it before returning (thread-safe), so
+  /// a kill loses at most the record being written.
   void append(const JournalRecord& record);
-
-  /// Flushes buffered records to the OS and fsyncs.
-  void flush();
 
   /// Torn-write-proof one-shot journal write: serializes the header and
   /// `records` into `path + ".tmp"`, fsyncs the file, atomically
   /// rename()s it over `path`, then fsyncs the containing directory — a
   /// reader (or a resume) sees either the complete old journal or the
-  /// complete new one, never a half-written merge. Used by verify() to
-  /// finalize the stable-order merged journal of a process or remote run.
+  /// complete new one, never a half-written merge. verify() finalizes
+  /// every run's journal through it.
   static void write_atomic(const std::string& path,
                            const std::vector<const JournalRecord*>& records,
                            std::uint64_t options_hash);
 
-  const std::string& path() const { return path_; }
-
  private:
-  std::string path_;
   std::FILE* file_ = nullptr;
-  std::size_t flush_every_;
-  std::size_t unflushed_ = 0;
   std::mutex mutex_;
 };
 

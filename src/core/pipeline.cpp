@@ -82,6 +82,14 @@ void record_first_error(VictimFinding& finding, const std::exception& e) {
   finding.error_code = numerical ? numerical->code() : StatusCode::kInternal;
 }
 
+void mark_pessimistic(VictimFinding& finding, FindingStatus status,
+                      double vdd) {
+  finding.status = status;
+  finding.peak = -vdd;
+  finding.peak_fraction = 1.0;
+  finding.violation = true;
+}
+
 /// Mutable per-run state shared by the stages. Lives on the worker's
 /// stack for exactly one victim; the pipeline object itself stays const.
 struct VictimPipeline::RunState {
@@ -158,10 +166,7 @@ std::optional<JournalRecord> VictimPipeline::run(std::size_t victim_net,
     // sweep. The victim is reported maximally pessimistically for manual
     // review.
     record_first_error(finding, e);
-    finding.status = FindingStatus::kFailed;
-    finding.peak = -s.vdd;
-    finding.peak_fraction = 1.0;
-    finding.violation = true;
+    mark_pessimistic(finding, FindingStatus::kFailed, s.vdd);
   }
   finding.cpu_seconds = victim_timer.elapsed();
   return std::move(s.record);

@@ -61,6 +61,12 @@ const char* pipeline_stage_name(PipelineStage s);
 /// fail differently, but the root cause is what the report should show.
 void record_first_error(VictimFinding& finding, const std::exception& e);
 
+/// The pessimistic envelope of a victim with no trustworthy result:
+/// `status`, a full-rail glitch (peak = -Vdd on the held-high victim) and
+/// a violation. The error fields are the caller's.
+void mark_pessimistic(VictimFinding& finding, FindingStatus status,
+                      double vdd);
+
 /// Everything a VictimPipeline needs to analyze victims. All pointers are
 /// non-owning and must outlive the pipeline; the referenced objects are
 /// either const, internally synchronized (CharacterizedLibrary,

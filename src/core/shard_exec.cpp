@@ -316,19 +316,6 @@ class Coordinator {
               const CoordinatorOptions& opt, const ShardCallbacks& cb)
       : fleet_(fleet), opt_(opt), cb_(cb), lease_(work, opt.lease),
         kill_hook_(KillOnGrantHook::from_env()) {
-    // Crash insurance: accepted results are appended (flush-every-1) to
-    // the shard-0 journal — a killed coordinator resumes without redoing
-    // settled victims, and verify()'s finalization unlinks the file after
-    // the stable-order merge.
-    if (!opt_.journal_path.empty()) {
-      try {
-        insurance_ = std::make_unique<ResultJournal>(
-            journal_shard_path(opt_.journal_path, 0), /*resume=*/false,
-            opt_.options_hash, /*flush_every=*/1);
-      } catch (const std::exception& e) {
-        logf(LogLevel::kWarn, "insurance journal unavailable: %s", e.what());
-      }
-    }
     for (HolderLink& link : fleet_.open()) adopt(std::move(link));
   }
 
@@ -339,7 +326,7 @@ class Coordinator {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  std::map<std::size_t, JournalRecord> run(CoordinatorStats* stats) {
+  CoordinatorStats run() {
     while (!lease_.all_settled()) {
       concede_quarantined();
       if (lease_.all_settled()) break;
@@ -368,9 +355,7 @@ class Coordinator {
       if (cb_.on_tick) cb_.on_tick();
     }
     stats_.lease = lease_.stats();
-    if (insurance_) insurance_->flush();
-    if (stats) *stats = stats_;
-    return std::move(results_);
+    return stats_;
   }
 
  private:
@@ -386,12 +371,6 @@ class Coordinator {
     holders_.push_back(std::move(h));
   }
 
-  void settle(const JournalRecord& rec) {
-    results_[rec.finding.net] = rec;
-    if (insurance_) insurance_->append(rec);
-    if (cb_.on_result) cb_.on_result(rec);
-  }
-
   void concede_quarantined() {
     for (std::size_t v : lease_.take_quarantined()) {
       logf(LogLevel::kWarn,
@@ -399,7 +378,7 @@ class Coordinator {
       auto rec = cb_.analyze(v, /*bound_only=*/true);
       if (!rec) continue;  // ineligible victim: no record, like a skip
       stamp_concession(*rec);
-      settle(*rec);
+      cb_.on_result(std::move(*rec));
     }
   }
 
@@ -412,7 +391,8 @@ class Coordinator {
            holders_.size(), rest.size());
     for (std::size_t v : rest) {
       ++stats_.victims_local;
-      if (auto rec = cb_.analyze(v, /*bound_only=*/false)) settle(*rec);
+      if (auto rec = cb_.analyze(v, /*bound_only=*/false))
+        cb_.on_result(std::move(*rec));
       if (cb_.on_tick) cb_.on_tick();
     }
   }
@@ -551,7 +531,7 @@ class Coordinator {
           // (LeaseTableStats::stale_frames) and dropped here.
           if (lease_.result(unit, attempt, rec.finding.net) ==
               LeaseVerdict::kAccepted)
-            settle(rec);
+            cb_.on_result(std::move(rec));
         } else if (tag == "s") {
           std::string vstr;
           in >> vstr;
@@ -603,28 +583,26 @@ class Coordinator {
   const ShardCallbacks& cb_;
   LeaseTable lease_;
   KillOnGrantHook kill_hook_;
-  std::unique_ptr<ResultJournal> insurance_;
   std::vector<std::unique_ptr<Holder>> holders_;
-  std::map<std::size_t, JournalRecord> results_;
   CoordinatorStats stats_;
 };
 
 }  // namespace
 
-std::map<std::size_t, JournalRecord> run_leases(
-    const std::vector<std::size_t>& work, HolderFleet& fleet,
-    const CoordinatorOptions& options, const ShardCallbacks& callbacks,
-    CoordinatorStats* stats) {
+CoordinatorStats run_leases(const std::vector<std::size_t>& work,
+                            HolderFleet& fleet,
+                            const CoordinatorOptions& options,
+                            const ShardCallbacks& callbacks) {
   Coordinator coordinator(work, fleet, options, callbacks);
-  return coordinator.run(stats);
+  return coordinator.run();
 }
 
-std::map<std::size_t, JournalRecord> run_process_shards(
-    const std::vector<std::size_t>& work, std::size_t processes,
-    const CoordinatorOptions& options, const ShardCallbacks& callbacks,
-    CoordinatorStats* stats) {
+CoordinatorStats run_process_shards(const std::vector<std::size_t>& work,
+                                    std::size_t processes,
+                                    const CoordinatorOptions& options,
+                                    const ShardCallbacks& callbacks) {
   ForkedFleet fleet(std::min(processes, work.size()), options, callbacks);
-  return run_leases(work, fleet, options, callbacks, stats);
+  return run_leases(work, fleet, options, callbacks);
 }
 
 void serve_units(

@@ -31,9 +31,10 @@
 //               cannot become a fork loop. TCP workers are never
 //               replaced. With every holder lost, the remaining victims
 //               run locally in the coordinator.
-//   insurance   accepted records are appended to `<journal>.shard0`
-//               (flush-every-1), so a killed coordinator resumes without
-//               redoing settled victims; verify() folds and retires it.
+//   settlement  the coordinator is a pure scheduler: every accepted,
+//               conceded or locally run record goes to the caller's
+//               on_result, which is verify()'s one sink (journal,
+//               listener, merge map).
 //
 // Every victim is accounted for exactly once, and a crash-free run merges
 // to a result bit-identical to the serial one (findings travel as
@@ -58,7 +59,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -82,11 +82,11 @@ struct ShardCallbacks {
   /// Forked holders, once per fork before the unit loop: per-process setup
   /// (the RSS watchdog). May be null.
   std::function<void()> worker_init;
-  /// Coordinator side, optional: invoked with each record the moment it
+  /// Coordinator side, required: receives each record the moment it
   /// settles (accepted, conceded, or run locally) — settle order, not
   /// stable net order. Runs on the coordinator thread, serialized. Must
-  /// not throw; the serve daemon uses it to stream findings per-victim.
-  std::function<void(const JournalRecord&)> on_result;
+  /// not throw.
+  std::function<void(JournalRecord)> on_result;
   /// Coordinator side, optional: liveness tick, once per poll-loop
   /// iteration (~50 ms). Rate-limit in the callee.
   std::function<void()> on_tick;
@@ -101,9 +101,6 @@ struct CoordinatorOptions {
   /// and characterizes the design before answering, so it is generous).
   double setup_timeout_ms = 60000.0;
   LeaseOptions lease;
-  /// Base journal path; accepted records are appended to `<base>.shard0`
-  /// (flush-every-1) as crash insurance. Empty = no insurance journal.
-  std::string journal_path;
   /// Options-result hash every holder's ready frame must echo.
   std::uint64_t options_hash = 0;
 };
@@ -140,14 +137,14 @@ class HolderFleet {
 };
 
 /// The coordinator loop: leases `work` (victim nets, stable order) to the
-/// fleet's holders until every victim settles, and returns one record per
-/// eligible victim, keyed by net. Records of conceded victims arrive
-/// stamped kShardCrashed / kWorkerCrashed. Never throws on holder
-/// failure.
-std::map<std::size_t, JournalRecord> run_leases(
-    const std::vector<std::size_t>& work, HolderFleet& fleet,
-    const CoordinatorOptions& options, const ShardCallbacks& callbacks,
-    CoordinatorStats* stats);
+/// fleet's holders until every victim settles, hands one record per
+/// eligible victim to `callbacks.on_result`, and returns its stats.
+/// Records of conceded victims arrive stamped kShardCrashed /
+/// kWorkerCrashed. Never throws on holder failure.
+CoordinatorStats run_leases(const std::vector<std::size_t>& work,
+                            HolderFleet& fleet,
+                            const CoordinatorOptions& options,
+                            const ShardCallbacks& callbacks);
 
 /// run_leases over `processes` forked holders (fewer when `work` is
 /// smaller). Holders inherit the caller's address space — design,
@@ -155,10 +152,10 @@ std::map<std::size_t, JournalRecord> run_leases(
 /// the caller's process group, ignore SIGPIPE, and leave via _exit. The
 /// caller must be single-threaded when this is invoked: fork duplicates
 /// only the calling thread, and replacements fork mid-run.
-std::map<std::size_t, JournalRecord> run_process_shards(
-    const std::vector<std::size_t>& work, std::size_t processes,
-    const CoordinatorOptions& options, const ShardCallbacks& callbacks,
-    CoordinatorStats* stats);
+CoordinatorStats run_process_shards(const std::vector<std::size_t>& work,
+                                    std::size_t processes,
+                                    const CoordinatorOptions& options,
+                                    const ShardCallbacks& callbacks);
 
 /// The holder side of the lease protocol, shared by forked holders and
 /// xtv_worker: reads kUnitAssign frames from `fd` (frames already in

@@ -27,12 +27,6 @@ namespace xtv {
 
 namespace {
 
-bool counts_as_analyzed(FindingStatus s) {
-  return s == FindingStatus::kAnalyzed ||
-         s == FindingStatus::kAnalyzedAfterRetry ||
-         s == FindingStatus::kCertified;
-}
-
 /// FNV-1a accumulator for options hashing. Doubles hash by bit pattern:
 /// two option sets are "the same" exactly when every field is bit-equal,
 /// which is also the precondition for bit-identical findings.
@@ -72,7 +66,7 @@ std::uint64_t options_result_hash(const VerifierOptions& o) {
   h.f64(o.glitch.default_switch_time);
   h.f64(o.glitch_threshold);
   h.u64(o.latch_inputs_only ? 1 : 0);
-  h.u64(o.max_victims);
+  h.u64(0);  // the deleted max_victims' default: older hashes stay valid
   h.u64(o.analyze_delay_change ? 1 : 0);
   h.u64(o.use_noise_screen ? 1 : 0);
   h.f64(o.em_rms_limit);
@@ -313,26 +307,6 @@ void ChipVerifier::Prepared::set_shed_work(
 
 double ChipVerifier::Prepared::vdd() const { return impl_->vdd; }
 
-namespace {
-
-/// The kFailed envelope shared by every Prepared entry point: a failure
-/// outside the ladder (task setup, the journal, the pessimistic path
-/// itself) becomes a typed finding attached to this victim — never a
-/// lost index or a dead worker.
-JournalRecord failed_record(std::size_t victim, double vdd,
-                            const std::exception& e) {
-  JournalRecord rec;
-  rec.finding.net = victim;
-  record_first_error(rec.finding, e);
-  rec.finding.status = FindingStatus::kFailed;
-  rec.finding.peak = -vdd;
-  rec.finding.peak_fraction = 1.0;
-  rec.finding.violation = true;
-  return rec;
-}
-
-}  // namespace
-
 std::optional<JournalRecord> ChipVerifier::Prepared::analyze(
     std::size_t victim, bool bound_only) {
   // Injection decisions inside this task are keyed on the victim id, so
@@ -349,7 +323,14 @@ std::optional<JournalRecord> ChipVerifier::Prepared::analyze(
          impl_->footprint(victim) >= impl_->shed_threshold);
     return impl_->pipeline->run(victim, shed);
   } catch (const std::exception& e) {
-    return failed_record(victim, impl_->vdd, e);
+    // A failure outside the ladder (task setup, the pessimistic path
+    // itself) becomes a typed finding attached to this victim — never a
+    // lost index or a dead worker.
+    JournalRecord rec;
+    rec.finding.net = victim;
+    record_first_error(rec.finding, e);
+    mark_pessimistic(rec.finding, FindingStatus::kFailed, impl_->vdd);
+    return rec;
   }
 }
 
@@ -383,38 +364,26 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
 
   // Remote fan-out (DESIGN.md §14) and process-isolated execution
   // (DESIGN.md §12) hand the sweep to the lease coordinator, over TCP
-  // workers or forked holders. max_victims is defined by serial analysis
-  // order, which spans unit boundaries — it forces the in-process path.
-  const bool use_remote =
-      options.remote_backend != nullptr && options.max_victims == 0;
-  if (options.remote_backend && !use_remote)
-    logf(LogLevel::kWarn,
-         "ChipVerifier: a remote backend requires max_victims == 0; "
-         "falling back to the in-process path");
-  const bool use_processes =
-      !use_remote && options.processes > 0 && options.max_victims == 0;
-  if (options.processes > 0 && options.max_victims > 0)
-    logf(LogLevel::kWarn,
-         "ChipVerifier: processes > 0 requires max_victims == 0; "
-         "falling back to the in-process path");
+  // workers or forked holders.
+  const bool use_remote = options.remote_backend != nullptr;
+  const bool use_processes = !use_remote && options.processes > 0;
 
-  // Resume: intact journal records stand in for re-analysis; the journal
-  // itself is truncated past its intact prefix so fresh appends follow.
-  // The journal header must carry the current options hash — findings
+  // Resume: records of the killed run — its journal, then the insurance
+  // file the sweep was appending to — stand in for re-analysis. The
+  // journal header must carry the current options hash — findings
   // produced under different options are not comparable, so a mismatched
   // resume is refused rather than silently merged.
   const std::uint64_t ohash = options_result_hash(options);
   std::map<std::size_t, JournalRecord> journaled;
-  std::unique_ptr<ResultJournal> journal;
+  std::unique_ptr<ResultJournal> insurance;
   if (!options.journal_path.empty()) {
     if (options.resume) {
-      ResultJournal::LoadResult prior = ResultJournal::load(options.journal_path);
-      if (prior.valid_bytes > 0 &&
-          (!prior.has_header || prior.header_hash != ohash)) {
+      RunJournal prior = load_run_journal(options.journal_path, ohash);
+      if (prior.base_mismatch) {
         char hashes[96];
         std::snprintf(hashes, sizeof(hashes),
                       "(journal hash %016" PRIx64 ", current %016" PRIx64 ")",
-                      prior.has_header ? prior.header_hash : 0, ohash);
+                      prior.base_hash, ohash);
         throw NumericalError(StatusCode::kInvalidInput,
                              "ChipVerifier: journal " + options.journal_path +
                                  " was written with different "
@@ -422,49 +391,22 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
                                  hashes +
                                  "; re-run without --resume to start fresh");
       }
-      for (auto& rec : prior.records)
-        journaled.insert_or_assign(rec.finding.net, std::move(rec));
-      // A killed process or remote coordinator leaves its insurance
-      // journal (<journal>.shard0; older builds wrote one per worker)
-      // holding progress past the base journal; fold the intact,
-      // hash-matching ones in, then durably rewrite the base so a second
-      // crash cannot lose that progress.
-      bool folded = false;
-      for (std::size_t k : journal_list_shards(options.journal_path)) {
-        const std::string spath = journal_shard_path(options.journal_path, k);
-        ResultJournal::LoadResult sprior = ResultJournal::load(spath);
-        if (sprior.has_header && sprior.header_hash == ohash) {
-          for (auto& rec : sprior.records) {
-            journaled.insert_or_assign(rec.finding.net, std::move(rec));
-            folded = true;
-          }
-        } else if (sprior.valid_bytes > 0) {
-          logf(LogLevel::kWarn,
-               "ChipVerifier: ignoring shard journal %s (options hash "
-               "mismatch)",
-               spath.c_str());
-        }
-        ::unlink(spath.c_str());
-      }
-      if (folded) {
+      journaled = std::move(prior.records);
+      // Durably rewrite the journal before the insurance file is reset
+      // below, so a second crash cannot lose the folded progress.
+      if (prior.folded_insurance) {
         std::vector<const JournalRecord*> recs;
         recs.reserve(journaled.size());
         for (const auto& [net, rec] : journaled) recs.push_back(&rec);
         ResultJournal::write_atomic(options.journal_path, recs, ohash);
       }
     } else {
-      // Stale shard files from an older interrupted run must not leak
-      // into this run's merge.
-      for (std::size_t k : journal_list_shards(options.journal_path))
-        ::unlink(journal_shard_path(options.journal_path, k).c_str());
+      // A fresh run owns the path: an older run's journal must not be
+      // resumed into this one's records.
+      ::unlink(options.journal_path.c_str());
     }
-    // In process and remote modes the lease coordinator appends to its
-    // insurance journal and the parent writes the merged journal once,
-    // atomically, after the sweep — an open append handle here would
-    // alias the rename target.
-    if (!use_processes && !use_remote)
-      journal = std::make_unique<ResultJournal>(options.journal_path,
-                                                options.resume, ohash);
+    insurance = std::make_unique<ResultJournal>(
+        journal_insurance_path(options.journal_path), ohash);
   }
 
   std::vector<std::size_t> work;
@@ -472,22 +414,22 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
     if (!journaled.count(v)) work.push_back(v);
   prep.set_shed_work(work);
 
+  // The one sink of every backend: a settled record is durable in the
+  // insurance file before anyone sees it, then streamed, then merged.
   std::map<std::size_t, JournalRecord> fresh;
   std::mutex fresh_mutex;
-  auto emit = [&](std::size_t v, std::optional<JournalRecord> outcome) {
-    if (!outcome) return;
-    if (journal) journal->append(*outcome);
+  auto settle = [&](JournalRecord&& rec) {
+    if (insurance) insurance->append(rec);
     if (options.on_record) {
       try {
-        options.on_record(*outcome);
+        options.on_record(rec);
       } catch (...) {
         // A listener failure must not cost the victim its record.
       }
     }
     std::lock_guard<std::mutex> lock(fresh_mutex);
-    fresh.emplace(v, std::move(*outcome));
+    fresh.emplace(rec.finding.net, std::move(rec));
   };
-  auto run_one = [&](std::size_t v) { emit(v, prep.analyze(v, false)); };
 
   // RSS watchdog for the duration of the sweep (no-op when disabled).
   // Process mode must keep the coordinator single-threaded, because it
@@ -503,10 +445,9 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
 
   if (use_processes || use_remote) {
     ShardCallbacks scb;
-    // Holder side. Identical semantics to run_one above, except the record
-    // is returned (streamed over the wire and insurance-journaled by the
-    // coordinator) instead of being appended locally; `bound_only` routes
-    // straight to the terminal Devgan-bound stage (the concession).
+    // Holder side: the record is returned (streamed over the wire and
+    // settled by the coordinator); `bound_only` routes straight to the
+    // terminal Devgan-bound stage (the concession).
     scb.analyze = [&](std::size_t v,
                       bool bound_only) -> std::optional<JournalRecord> {
       return prep.analyze(v, bound_only);
@@ -516,13 +457,7 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
         watchdog.emplace(static_cast<std::size_t>(options.global_mem_soft_mb *
                                                   1024.0 * 1024.0));
     };
-    if (options.on_record)
-      scb.on_result = [&](const JournalRecord& rec) {
-        try {
-          options.on_record(rec);
-        } catch (...) {
-        }
-      };
+    scb.on_result = [&](JournalRecord rec) { settle(std::move(rec)); };
     if (options.on_tick)
       scb.on_tick = [&] {
         try {
@@ -533,57 +468,52 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
 
     CoordinatorStats cstats;
     if (use_remote) {
-      fresh = options.remote_backend->run(work, scb, &cstats);
+      cstats = options.remote_backend->run(work, ohash, scb);
     } else {
       CoordinatorOptions copt;
       copt.heartbeat_ms = options.shard_heartbeat_ms;
       // One victim per unit: a holder's death charges exactly the victim
       // it held.
       copt.lease.unit_victims = 1;
-      copt.journal_path = options.journal_path;
       copt.options_hash = ohash;
-      fresh = run_process_shards(work, options.processes, copt, scb, &cstats);
+      cstats = run_process_shards(work, options.processes, copt, scb);
     }
     report.worker_crashes = cstats.workers_lost + cstats.lease_expiries;
     report.shard_restarts = cstats.lease.reassignments;
     report.victims_quarantined = cstats.lease.victims_charged;
-  } else if (options.threads <= 1 || options.max_victims > 0) {
-    // max_victims caps *analyzed* victims, which only a serial sweep
-    // can define deterministically (the cap depends on each prior
-    // victim's outcome) — bounded debug runs stay single-threaded.
-    std::size_t analyzed = 0;
-    for (const auto& [v, rec] : journaled)
-      if (!rec.screened && counts_as_analyzed(rec.finding.status)) ++analyzed;
-    for (std::size_t v : work) {
-      if (options.max_victims > 0 && analyzed >= options.max_victims) break;
-      run_one(v);
-      const auto it = fresh.find(v);
-      if (it != fresh.end() && !it->second.screened &&
-          counts_as_analyzed(it->second.finding.status))
-        ++analyzed;
-    }
   } else {
-    // Smallest clusters first: when pressure arises mid-run, what remains
-    // queued is the largest clusters — exactly what shedding targets.
-    // Merge order (below) and victim-keyed injection are both execution-
-    // order independent, so this cannot change a clean run's report.
-    std::stable_sort(work.begin(), work.end(), [&](std::size_t a, std::size_t b) {
-      return prep.footprint(a) < prep.footprint(b);
-    });
-    ThreadPool pool(options.threads);
-    pool.parallel_for(work.size(), [&](std::size_t i) { run_one(work[i]); });
+    auto run_one = [&](std::size_t v) {
+      if (auto rec = prep.analyze(v, false)) settle(std::move(*rec));
+    };
+    if (options.threads <= 1) {
+      for (std::size_t v : work) run_one(v);
+    } else {
+      // Smallest clusters first: when pressure arises mid-run, what
+      // remains queued is the largest clusters — exactly what shedding
+      // targets. Merge order (below) and victim-keyed injection are both
+      // execution-order independent, so this cannot change a clean run's
+      // report.
+      std::stable_sort(work.begin(), work.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return prep.footprint(a) < prep.footprint(b);
+                       });
+      ThreadPool pool(options.threads);
+      pool.parallel_for(work.size(), [&](std::size_t i) { run_one(work[i]); });
+    }
   }
-  if (journal) journal->flush();
 
   // Merge in candidate order: journaled and fresh results interleave into
   // the exact report an uninterrupted serial run would have produced.
+  std::vector<const JournalRecord*> merged;
+  if (insurance) merged.reserve(journaled.size() + fresh.size());
   for (std::size_t v : candidates) {
     const JournalRecord* rec = nullptr;
     if (const auto it = journaled.find(v); it != journaled.end())
       rec = &it->second;
     else if (const auto it2 = fresh.find(v); it2 != fresh.end())
       rec = &it2->second;
-    if (!rec) continue;  // ineligible, or past the max_victims cutoff
+    if (!rec) continue;  // ineligible
+    if (insurance) merged.push_back(rec);
 
     ++report.victims_eligible;
     report.total_cpu_seconds += rec->finding.cpu_seconds;
@@ -641,25 +571,13 @@ VerificationReport ChipVerifier::verify(const ChipDesign& design,
     }
     if (f.violation) ++report.violations;
   }
-  // Process/remote finalization: one atomic write of the merged journal
-  // in stable candidate order (bit-identical to what an uninterrupted
-  // in-process run would have journaled), then the shard journals are
-  // retired — they were only ever crash insurance.
-  if ((use_processes || use_remote) && !options.journal_path.empty()) {
-    std::vector<const JournalRecord*> recs;
-    recs.reserve(journaled.size() + fresh.size());
-    for (std::size_t v : candidates) {
-      if (const auto it = journaled.find(v); it != journaled.end())
-        recs.push_back(&it->second);
-      else if (const auto it2 = fresh.find(v); it2 != fresh.end())
-        recs.push_back(&it2->second);
-    }
-    ResultJournal::write_atomic(options.journal_path, recs, ohash);
-    // Retire every shard file on disk, not just .shard0: non-contiguous
-    // leftovers from an older run would otherwise survive a fully
-    // successful run and be re-folded on the next resume.
-    for (std::size_t k : journal_list_shards(options.journal_path))
-      ::unlink(journal_shard_path(options.journal_path, k).c_str());
+  // Finalization: one atomic write of the merged journal in stable
+  // candidate order, then the insurance file is retired — it was only
+  // ever crash insurance.
+  if (insurance) {
+    ResultJournal::write_atomic(options.journal_path, merged, ohash);
+    insurance.reset();
+    ::unlink(journal_insurance_path(options.journal_path).c_str());
   }
   prep.fill_cache_stats(&report);
   report.wall_seconds = total.elapsed();

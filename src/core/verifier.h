@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,17 +27,18 @@ struct CoordinatorStats;  // core/shard_exec.h
 /// Pluggable execution backend for the remote fan-out path (implemented
 /// by serve/remote.h RemoteExecutor over TCP; core stays ignorant of
 /// sockets). run() receives the un-journaled work list in stable net
-/// order plus the same ShardCallbacks the forked holders get, and must
-/// return exactly one record per eligible victim, keyed by net — the
-/// contract of run_leases (core/shard_exec.h), which it is expected to
-/// drive, so both out-of-process backends share one failure policy and
+/// order, the options-result hash every worker must derive, and the same
+/// ShardCallbacks the forked holders get; it must hand exactly one record
+/// per eligible victim to `callbacks.on_result` and return its stats —
+/// the contract of run_leases (core/shard_exec.h), which it is expected
+/// to drive, so both out-of-process backends share one failure policy and
 /// one set of counters.
 class RemoteBackend {
  public:
   virtual ~RemoteBackend() = default;
-  virtual std::map<std::size_t, JournalRecord> run(
-      const std::vector<std::size_t>& work, const ShardCallbacks& callbacks,
-      CoordinatorStats* stats) = 0;
+  virtual CoordinatorStats run(const std::vector<std::size_t>& work,
+                               std::uint64_t options_hash,
+                               const ShardCallbacks& callbacks) = 0;
 };
 
 struct VerifierOptions {
@@ -50,8 +50,6 @@ struct VerifierOptions {
   /// Restrict analysis to latch-input victims (the Fig 6/7 victim set);
   /// false analyzes every net that retains aggressors.
   bool latch_inputs_only = false;
-  /// Cap on analyzed victims (0 = no cap) for bounded runs.
-  std::size_t max_victims = 0;
   /// Also run the timing-recalculation pass: coupled vs decoupled victim
   /// interconnect delay (the paper's Table-2-style signal-integrity timing
   /// audit), filling the delay fields of each finding.
@@ -68,25 +66,25 @@ struct VerifierOptions {
 
   // --- Execution model: parallelism, deadlines, resume (DESIGN.md §8) ---
 
-  /// Worker threads sharding the eligible victims (<= 1 = serial).
-  /// Findings are merged in victim-net order, so a clean parallel run
-  /// reproduces the serial report. max_victims > 0 forces serial
-  /// execution: the cap is defined by serial analysis order.
+  /// Worker threads sharding the eligible victims (<= 1 = serial, on the
+  /// calling thread). Findings are merged in victim-net order, so a clean
+  /// parallel run reproduces the serial report.
   std::size_t threads = 1;
   /// Per-cluster wall-clock budget (ms; 0 = unlimited). A cluster that
   /// exhausts it mid-simulation is cancelled cooperatively and reported
   /// through the conservative Devgan bound as FindingStatus::kDeadlineBound
   /// instead of stalling its worker.
   double cluster_deadline_ms = 0.0;
-  /// When non-empty, every completed eligible victim is appended to this
-  /// crash-safe journal (see core/journal.h) so a killed run can resume.
+  /// When non-empty, every settled eligible victim is appended to the
+  /// insurance file `<journal_path>.shard0` as it settles, and the sweep
+  /// ends by writing this crash-safe journal once, in candidate order
+  /// (see core/journal.h), so a killed run can resume.
   std::string journal_path;
-  /// Resume from journal_path: victims with an intact journal record are
-  /// merged from it without re-analysis (a torn tail from the crash is
-  /// discarded); the rest run normally. Requires journal_path, and the
-  /// journal's options-hash header must match the current options.
-  /// Leftover `<journal>.shard<k>` files of a killed lease coordinator
-  /// are merged too.
+  /// Resume from journal_path: victims with an intact record in the
+  /// journal or its insurance file are merged without re-analysis (a
+  /// torn tail from the crash is discarded); the rest run normally.
+  /// Requires journal_path, and the journal's options-hash header must
+  /// match the current options.
   bool resume = false;
 
   // --- Process-isolated shard execution (DESIGN.md §12) ---
@@ -100,8 +98,7 @@ struct VerifierOptions {
   /// (FindingStatus::kShardCrashed) if that one dies too. A clean
   /// multi-process run is bit-identical to the serial one. Like
   /// `threads`, this is a pure scheduling knob and is NOT part of
-  /// options_result_hash; max_victims > 0 forces the in-process serial
-  /// path.
+  /// options_result_hash.
   std::size_t processes = 0;
   /// Holder heartbeat period (ms, > 0). A holder silent for 10x this
   /// long loses its lease; silent through another 10x window, it is
@@ -110,25 +107,26 @@ struct VerifierOptions {
 
   // --- Remote fan-out (DESIGN.md §14; scheduling-only, NOT hashed) ---
 
-  /// When set (and max_victims == 0), eligible un-journaled victims are
-  /// executed by this backend — leased work units on remote xtv_worker
-  /// hosts — instead of local threads or forked processes; `processes`
-  /// is ignored for the sweep itself. Non-owning: the backend must
-  /// outlive verify(). Like threads/processes this is a pure scheduling
-  /// knob: a clean remote run's merged journal is bit-identical to the
-  /// serial one, and every remote failure mode degrades to an explicit
-  /// FindingStatus, never a lost victim.
+  /// When set, eligible un-journaled victims are executed by this
+  /// backend — leased work units on remote xtv_worker hosts — instead of
+  /// local threads or forked processes; `processes` is ignored for the
+  /// sweep itself. Non-owning: the backend must outlive verify(). Like
+  /// threads/processes this is a pure scheduling knob: a clean remote
+  /// run's merged journal is bit-identical to the serial one, and every
+  /// remote failure mode degrades to an explicit FindingStatus, never a
+  /// lost victim.
   RemoteBackend* remote_backend = nullptr;
 
   // --- Streaming hooks (scheduling-only; NOT in options_result_hash) ---
 
   /// Invoked once per settled eligible victim, with the record exactly as
-  /// it is journaled/merged (after any concession stamping). In process
-  /// and remote modes it runs serialized on the coordinator; on the in-process
-  /// path it runs on whichever worker thread finished the victim, so it
-  /// must be thread-safe when threads > 1. Exceptions are swallowed — a
-  /// broken listener must never fail the run. The serve daemon
-  /// (src/serve) uses this to stream findings as they certify.
+  /// it is journaled/merged (after any concession stamping), once it is
+  /// in the insurance file. In process and remote modes it runs
+  /// serialized on the coordinator; on the in-process path it runs on
+  /// whichever worker thread finished the victim, so it must be
+  /// thread-safe when threads > 1. Exceptions are swallowed — a broken
+  /// listener must never fail the run. The serve daemon (src/serve) uses
+  /// this to stream findings as they certify.
   std::function<void(const JournalRecord&)> on_record;
   /// Liveness tick from the lease coordinator's poll loop (~50 ms cadence
   /// in process and remote modes; never fires on the in-process path).

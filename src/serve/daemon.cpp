@@ -22,6 +22,7 @@
 #include <sstream>
 
 #include "core/journal.h"
+#include "core/pipeline.h"
 #include "core/verifier.h"
 #include "serve/remote.h"
 #include "util/atomic_file.h"
@@ -186,11 +187,8 @@ void ServeDaemon::build_design() {
   chip.replicate_rows = opt_.replicate_rows;
   design_ = generate_dsp_chip(library_, chip);
   // Summaries warm the characterization tables every forked runner
-  // inherits, and pruned_ fixes the candidate set the daemon needs when
-  // it must concede a job itself. Specs cannot change pruning options,
-  // so one PruneResult serves every job.
-  summaries_ = chip_net_summaries(design_, extractor_, chars_);
-  pruned_ = prune_couplings(summaries_, VerifierOptions().prune);
+  // inherits.
+  chip_net_summaries(design_, extractor_, chars_);
   if (!opt_.cell_cache.empty()) chars_.save(opt_.cell_cache);
   logf(LogLevel::kInfo,
        "serve: resident design ready: %zu nets, %zu couplings",
@@ -431,30 +429,18 @@ double ServeDaemon::job_reserve_mb(const JobSpec& spec) const {
 }
 
 std::vector<std::size_t> ServeDaemon::candidates_for(const JobSpec& spec) {
-  // Mirrors ChipVerifier::verify's candidate loop (same prune options:
-  // specs cannot alter them). Jobs with their own design reference are
-  // rare on this path (only concession needs it), so the design is
-  // regenerated rather than cached.
+  // Jobs with their own design reference are rare on this path (only
+  // concession needs it), so the design is regenerated rather than
+  // cached.
   const ChipDesign* target = &design_;
   ChipDesign job_design;
-  PruneResult job_pruned;
-  const PruneResult* pruned = &pruned_;
   if (spec.has_design_ref()) {
     job_design = generate_dsp_chip(library_, chip_options_for(spec));
-    const std::vector<NetSummary> sums =
-        chip_net_summaries(job_design, extractor_, chars_);
-    job_pruned = prune_couplings(sums, VerifierOptions().prune);
     target = &job_design;
-    pruned = &job_pruned;
   }
-  std::vector<std::size_t> out;
-  for (std::size_t v = 0; v < target->nets.size(); ++v) {
-    if (pruned->retained[v].empty()) continue;
-    if (spec.options.latch_inputs_only && !target->nets[v].latch_input)
-      continue;
-    out.push_back(v);
-  }
-  return out;
+  const VerifierOptions vo = spec.to_options();
+  ChipVerifier verifier(extractor_, chars_);
+  return ChipVerifier::Prepared(verifier, *target, vo).candidates();
 }
 
 // --- Client plumbing ---------------------------------------------------
@@ -775,15 +761,13 @@ int ServeDaemon::runner_main(const Job& job, int write_fd) {
     for (;;) ::pause();
 
   VerifierOptions vo = job.spec.to_options();
-  // Always run forked holders: verify() then finalizes the journal with
-  // one stable-order atomic write, which is what makes a served job's
-  // journal bit-identical to a one-shot chip_audit run — and the lease
-  // coordinator's insurance journal lets a SIGKILLed runner resume.
+  // Always run forked holders: a victim that crashes its holder then
+  // costs the job that victim, not the runner and every victim with it.
   if (vo.processes == 0)
     vo.processes = std::max<std::size_t>(1, opt_.default_processes);
   vo.threads = 1;
   vo.journal_path = paths.journal;
-  vo.resume = true;  // journal ctor creates a fresh journal when absent
+  vo.resume = true;  // an absent journal resumes as an empty one
 
   double last_hb = now_ms();
   std::uint64_t seq = 0;
@@ -817,8 +801,6 @@ int ServeDaemon::runner_main(const Job& job, int write_fd) {
     ro.heartbeat_ms = opt_.worker_heartbeat_ms;
     ro.unit_victims = opt_.unit_victims;
     ro.max_unit_attempts = opt_.max_unit_attempts;
-    ro.journal_path = vo.journal_path;
-    ro.options_hash = options_result_hash(vo);
     ro.spec_text = wspec.to_text();
     remote = std::make_unique<RemoteExecutor>(ro);
     vo.remote_backend = remote.get();
@@ -1006,17 +988,9 @@ std::map<std::size_t, JournalRecord> ServeDaemon::collect_results(
   // (== key only for resident-design jobs).
   const std::uint64_t jhash = job.spec.options_hash();
   const JobPaths paths = job_paths(opt_.jobs_dir, key);
-  std::map<std::size_t, JournalRecord> results;
-  auto fold = [&](const std::string& path) {
-    ResultJournal::LoadResult prior = ResultJournal::load(path);
-    if (!prior.has_header || prior.header_hash != jhash) return;
-    for (auto& rec : prior.records)
-      results.insert_or_assign(rec.finding.net, std::move(rec));
-  };
-  fold(paths.journal);
-  for (std::size_t k : journal_list_shards(paths.journal))
-    fold(journal_shard_path(paths.journal, k));
-  // Live-streamed findings may be ahead of the shard journals.
+  std::map<std::size_t, JournalRecord> results =
+      load_run_journal(paths.journal, jhash).records;
+  // Live-streamed findings may be ahead of the insurance file.
   for (const auto& [net, payload] : job.findings) {
     JournalRecord rec;
     if (journal_decode(payload, rec)) results.insert_or_assign(net, rec);
@@ -1035,14 +1009,10 @@ void ServeDaemon::concede_job(std::uint64_t key, Job& job,
     // Pure struct assembly, maximally pessimistic, explicitly typed —
     // never silence.
     JournalRecord rec;
-    rec.screened = false;
     rec.finding.net = v;
-    rec.finding.status = FindingStatus::kShardCrashed;
+    mark_pessimistic(rec.finding, FindingStatus::kShardCrashed, tech_.vdd);
     rec.finding.error_code = StatusCode::kWorkerCrashed;
     rec.finding.error = "conceded by serve daemon: " + why;
-    rec.finding.peak = -tech_.vdd;
-    rec.finding.peak_fraction = 1.0;
-    rec.finding.violation = true;
     results.emplace(v, std::move(rec));
     ++synthesized;
   }
@@ -1055,8 +1025,7 @@ void ServeDaemon::concede_job(std::uint64_t key, Job& job,
     logf(LogLevel::kError, "serve: conceding %s: %s",
          job_key_hex(key).c_str(), e.what());
   }
-  for (std::size_t k : journal_list_shards(paths.journal))
-    ::unlink(journal_shard_path(paths.journal, k).c_str());
+  ::unlink(journal_insurance_path(paths.journal).c_str());
 
   char summary[256];
   std::snprintf(summary, sizeof(summary),
@@ -1235,8 +1204,8 @@ void ServeDaemon::maybe_shed(double now) {
   if (running < 2 || !youngest) return;
 
   // SIGTERM the runner group, not SIGKILL: the lease coordinator dies
-  // quickly (default disposition), its insurance journal keeps the
-  // progress, and a runner that was one write away from finishing may
+  // quickly (default disposition), the journal's insurance file keeps
+  // the progress, and a runner that was one write away from finishing may
   // still finalize — the reap path honors its done file either way.
   logf(LogLevel::kWarn,
        "serve: RSS %.0f MiB over soft budget %.0f MiB; shedding youngest "

@@ -6,9 +6,9 @@
 // lease holders use (core/wire.h). Each job is one ChipVerifier run,
 // against the resident design or a per-job design reference carried in
 // its spec; the daemon forks a single-purpose *job runner* per attempt,
-// which executes verify() with forked lease holders (so a clean run
-// finalizes a stable-order, bit-identical journal atomically) and streams
-// per-victim findings back over a pipe as they certify. Up to
+// which executes verify() with forked lease holders (so a crashing
+// victim costs the job only that victim) and streams per-victim findings
+// back over a pipe as they certify. Up to
 // --max-running runners execute concurrently under the cross-job
 // ResourceGovernor (serve/governor.h).
 //
@@ -232,8 +232,6 @@ class ServeDaemon {
   CharacterizedLibrary chars_;
   Extractor extractor_;
   ChipDesign design_;
-  std::vector<NetSummary> summaries_;
-  PruneResult pruned_;
 
   int listen_fd_ = -1;
   int tcp_listen_fd_ = -1;

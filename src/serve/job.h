@@ -17,7 +17,8 @@
 // directory as plain files keyed by the job:
 //
 //   job_<key>.spec   canonical spec + persisted attempt count (atomic)
-//   job_<key>.xtvj   the job's crash-safe result journal (+ .shard<k>)
+//   job_<key>.xtvj   the job's crash-safe result journal (+ .shard0 while
+//                    a runner sweeps)
 //   job_<key>.done   terminal marker: "xtvsd <key> <done|conceded> <summary>"
 //   job_<key>.pid    live runner pid, for orphan reaping after a restart
 #pragma once

@@ -38,13 +38,14 @@ namespace {
 /// replayed in the setup frame.
 class TcpFleet final : public HolderFleet {
  public:
-  explicit TcpFleet(const RemoteExecOptions& opt) : opt_(opt) {}
+  TcpFleet(const RemoteExecOptions& opt, std::uint64_t options_hash)
+      : opt_(opt), options_hash_(options_hash) {}
 
   std::vector<HolderLink> open() override {
     char hb[64];
     std::snprintf(hb, sizeof hb, "%.17g", opt_.heartbeat_ms);
     const std::string setup =
-        job_key_hex(opt_.options_hash) + " " + hb + " " + opt_.spec_text;
+        job_key_hex(options_hash_) + " " + hb + " " + opt_.spec_text;
     std::vector<HolderLink> links;
     for (const std::string& ep : opt_.workers) {
       auto client = std::make_unique<ServeClient>();
@@ -72,14 +73,15 @@ class TcpFleet final : public HolderFleet {
 
  private:
   const RemoteExecOptions& opt_;
+  std::uint64_t options_hash_;
   std::vector<std::unique_ptr<ServeClient>> clients_;
 };
 
 }  // namespace
 
-std::map<std::size_t, JournalRecord> RemoteExecutor::run(
-    const std::vector<std::size_t>& work, const ShardCallbacks& callbacks,
-    CoordinatorStats* stats) {
+CoordinatorStats RemoteExecutor::run(const std::vector<std::size_t>& work,
+                                     std::uint64_t options_hash,
+                                     const ShardCallbacks& callbacks) {
   // A worker can vanish between connect() and the setup write; the
   // failure must come back as EPIPE, not a process-killing signal.
   ::signal(SIGPIPE, SIG_IGN);
@@ -90,12 +92,10 @@ std::map<std::size_t, JournalRecord> RemoteExecutor::run(
   copt.lease.max_unit_attempts = opt_.max_unit_attempts;
   copt.lease.backoff_base_ms = opt_.backoff_base_ms;
   copt.lease.backoff_max_ms = opt_.backoff_max_ms;
-  copt.journal_path = opt_.journal_path;
-  copt.options_hash = opt_.options_hash;
-  TcpFleet fleet(opt_);
-  auto results = run_leases(work, fleet, copt, callbacks, &stats_);
-  if (stats) *stats = stats_;
-  return results;
+  copt.options_hash = options_hash;
+  TcpFleet fleet(opt_, options_hash);
+  stats_ = run_leases(work, fleet, copt, callbacks);
+  return stats_;
 }
 
 // ---------------------------------------------------------------------------

@@ -29,11 +29,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "core/journal.h"
 #include "core/shard_exec.h"
 #include "core/verifier.h"
 
@@ -55,13 +53,8 @@ struct RemoteExecOptions {
   /// Per-worker connect + setup-handshake deadline (a worker rebuilds and
   /// characterizes the design before answering, so this is generous).
   double setup_timeout_ms = 60000.0;
-  /// Base journal path; the coordinator appends accepted results to
-  /// `<base>.shard0` (flush-every-1) as crash insurance. Empty = no
-  /// insurance journal.
-  std::string journal_path;
-  /// Options-result hash every worker must independently derive.
-  std::uint64_t options_hash = 0;
-  /// JobSpec::to_text() of the job — replayed to workers verbatim.
+  /// JobSpec::to_text() of the job — replayed to workers verbatim; each
+  /// worker must derive from it the options hash verify() passes to run().
   std::string spec_text;
 };
 
@@ -72,13 +65,13 @@ class RemoteExecutor : public RemoteBackend {
   explicit RemoteExecutor(const RemoteExecOptions& options)
       : opt_(options) {}
 
-  /// Runs `work` across the worker fleet through run_leases(); returns
-  /// one record per eligible victim, keyed by net. Never throws on worker
-  /// failure: every victim settles as a real result, a local-fallback
-  /// result, or an explicit concession.
-  std::map<std::size_t, JournalRecord> run(
-      const std::vector<std::size_t>& work, const ShardCallbacks& callbacks,
-      CoordinatorStats* stats) override;
+  /// Runs `work` across the worker fleet through run_leases(), handing
+  /// one record per eligible victim to `callbacks.on_result`. Never
+  /// throws on worker failure: every victim settles as a real result, a
+  /// local-fallback result, or an explicit concession.
+  CoordinatorStats run(const std::vector<std::size_t>& work,
+                       std::uint64_t options_hash,
+                       const ShardCallbacks& callbacks) override;
 
   /// The last run's coordinator stats (connections, rejections, losses,
   /// lease expiries, local fallback, lease-table counters).

@@ -1001,8 +1001,6 @@ int main(int argc, char** argv) {
         ro.heartbeat_ms = 100.0;  // a 1.2 s stall expires and heals in-trial
         ro.unit_victims = 4;
         ro.backoff_base_ms = 100.0;
-        ro.journal_path = vo.journal_path;
-        ro.options_hash = options_result_hash(vo);
         ro.spec_text = rspec.to_text();
         serve::RemoteExecutor exec(ro);
         vo.remote_backend = &exec;

@@ -342,7 +342,6 @@ TEST_F(CertifyVerifierFixture, AuditIsDeterministicAcrossThreadCounts) {
 TEST_F(CertifyVerifierFixture, AuditFractionOneWithinTolerance) {
   VerifierOptions options = certified_options();
   options.audit_fraction = 1.0;
-  options.max_victims = 6;  // bounded: golden re-simulation is expensive
   ChipVerifier verifier(*extractor_, *chars_);
   const VerificationReport report = verifier.verify(*design_, options);
   ASSERT_GT(report.victims_audited, 0u);

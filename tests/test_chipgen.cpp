@@ -143,13 +143,12 @@ TEST(ChipVerifier, EndToEndFlowProducesFindings) {
 
   ChipVerifier verifier(ex, chars);
   VerifierOptions vopt;
-  vopt.max_victims = 8;
   vopt.glitch.align_aggressors = false;  // keep the test fast
   vopt.glitch.tstop = 3e-9;
   const VerificationReport report = verifier.verify(d, vopt);
 
-  EXPECT_EQ(report.victims_analyzed, 8u);
-  EXPECT_EQ(report.findings.size(), 8u);
+  ASSERT_GT(report.findings.size(), 0u);
+  EXPECT_EQ(report.victims_analyzed, report.findings.size());
   for (const auto& f : report.findings) {
     EXPECT_GT(f.aggressors_analyzed, 0u);
     EXPECT_GT(f.reduced_order, 0u);

@@ -195,7 +195,6 @@ TEST_F(IntegrationFixture, VerifierTimingRecalculation) {
 
   ChipVerifier verifier(*extractor_, *chars_);
   VerifierOptions options;
-  options.max_victims = 4;
   options.analyze_delay_change = true;
   options.glitch.align_aggressors = false;
   options.glitch.tstop = 3e-9;
@@ -288,7 +287,6 @@ TEST_F(IntegrationFixture, FullFlowEndToEnd) {
 
   ChipVerifier verifier(*extractor_, *chars_);
   VerifierOptions options;
-  options.max_victims = 6;
   options.glitch.align_aggressors = true;
   const VerificationReport report = verifier.verify(design, options);
   EXPECT_GT(report.victims_analyzed, 0u);

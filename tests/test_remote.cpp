@@ -370,13 +370,14 @@ class RemoteFixture : public ::testing::Test {
   static VerificationReport run_remote(const std::vector<std::string>& eps,
                                        CoordinatorStats* stats_out = nullptr,
                                        double heartbeat_ms = 100.0,
-                                       std::size_t unit_victims = 8) {
+                                       std::size_t unit_victims = 8,
+                                       double setup_timeout_ms = 60000.0) {
     VerifierOptions vo = spec_->to_options();
     RemoteExecOptions ro;
     ro.workers = eps;
     ro.heartbeat_ms = heartbeat_ms;
     ro.unit_victims = unit_victims;
-    ro.options_hash = options_result_hash(vo);
+    ro.setup_timeout_ms = setup_timeout_ms;
     ro.spec_text = spec_->to_text();
     RemoteExecutor exec(ro);
     vo.remote_backend = &exec;
@@ -442,8 +443,11 @@ TEST_F(RemoteFixture, WorkerCrashMidUnitRecoversOnSurvivor) {
   }
   const pid_t pid_good = spawn_worker("survivor", &ep_good, "");
 
+  // The survivor's cold characterization must finish inside the setup
+  // deadline; under ASan it can take minutes, so allow ten.
   CoordinatorStats rs;
-  const VerificationReport report = run_remote({ep_bad, ep_good}, &rs);
+  const VerificationReport report =
+      run_remote({ep_bad, ep_good}, &rs, 100.0, 8, 600000.0);
   reap(pid_bad);
   reap(pid_good);
 
@@ -479,20 +483,24 @@ TEST_F(RemoteFixture, OptionsHashMismatchIsTypedRejection) {
   std::string ep;
   const pid_t pid = spawn_worker("reject", &ep, cache_path_);
 
+  // The worker derives its hash from a spec with another threshold, so
+  // it cannot match the hash verify() computes from vo.
   VerifierOptions vo = spec_->to_options();
+  JobSpec other = *spec_;
+  other.options.glitch_threshold = 0.2;
+  ASSERT_NE(other.options_hash(), options_result_hash(vo));
   RemoteExecOptions ro;
   ro.workers = {ep};
   ro.heartbeat_ms = 100.0;
-  ro.options_hash = options_result_hash(vo) ^ 0xdeadbeefULL;  // wrong on purpose
-  ro.spec_text = spec_->to_text();
+  ro.spec_text = other.to_text();
   RemoteExecutor exec(ro);
   vo.remote_backend = &exec;
   ChipVerifier verifier(*extractor_, *chars_);
   const VerificationReport report = verifier.verify(*design_, vo);
   reap(pid);
 
-  // The worker refuses (it derived the true hash; the coordinator lied),
-  // no lease is ever granted, and the job still completes locally.
+  // The worker refuses (its spec derives another hash), no lease is ever
+  // granted, and the job still completes locally.
   EXPECT_EQ(exec.remote_stats().workers_rejected, 1u);
   EXPECT_EQ(exec.remote_stats().workers_connected, 0u);
   EXPECT_GE(exec.remote_stats().victims_local, 1u);

@@ -165,50 +165,48 @@ TEST_F(RobustnessFixture, WaveformFiniteGuard) {
 
 TEST_F(RobustnessFixture, LadderRetryRecoversAfterSingleFailure) {
   VerifierOptions options = fast_options();
-  options.max_victims = 1;
-  // First reduced-model run fails, the halved-timestep retry succeeds.
+  // Each victim's first reduced-model run fails (injection is keyed by
+  // victim), and its halved-timestep retry succeeds.
   FaultInjector::instance().arm(FaultSite::kReducedNewton, 1, /*max_fires=*/1);
   const VerificationReport report = ChipVerifier(*extractor_, *chars_)
                                         .verify(*design_, options);
-  ASSERT_EQ(report.findings.size(), 1u);
-  const VictimFinding& f = report.findings[0];
-  EXPECT_EQ(f.status, FindingStatus::kAnalyzedAfterRetry);
-  EXPECT_EQ(f.retries, 1u);
-  EXPECT_EQ(f.error_code, StatusCode::kNewtonDivergence);
-  EXPECT_FALSE(f.error.empty());
-  EXPECT_EQ(report.victims_analyzed, 1u);
-  EXPECT_EQ(report.victims_retried, 1u);
+  ASSERT_GE(report.findings.size(), 1u);
+  for (const VictimFinding& f : report.findings) {
+    EXPECT_EQ(f.status, FindingStatus::kAnalyzedAfterRetry) << "net " << f.net;
+    EXPECT_EQ(f.retries, 1u);
+    EXPECT_EQ(f.error_code, StatusCode::kNewtonDivergence);
+    EXPECT_FALSE(f.error.empty());
+    EXPECT_GT(std::fabs(f.peak), 0.0);
+  }
+  EXPECT_EQ(report.victims_analyzed, report.findings.size());
+  EXPECT_EQ(report.victims_retried, report.findings.size());
   EXPECT_EQ(report.victims_fallback, 0u);
   EXPECT_EQ(report.victims_failed, 0u);
-  EXPECT_GT(std::fabs(f.peak), 0.0);
 }
 
 TEST_F(RobustnessFixture, LadderFallsBackToFullSimulation) {
   VerifierOptions options = fast_options();
-  options.max_victims = 1;
   // Every reduced-model attempt fails (all three MOR rungs); the golden
   // engine is untouched, so the full simulation rung lands.
   FaultInjector::instance().arm(FaultSite::kReducedNewton, 1, /*max_fires=*/0);
   const VerificationReport report = ChipVerifier(*extractor_, *chars_)
                                         .verify(*design_, options);
-  // max_victims caps victims_analyzed; a fallback doesn't count as
-  // analyzed, so every eligible victim lands here. Check the first.
   ASSERT_GE(report.findings.size(), 1u);
-  const VictimFinding& f = report.findings[0];
-  EXPECT_EQ(f.status, FindingStatus::kFellBackToFullSim);
-  EXPECT_EQ(f.retries, 3u);
-  EXPECT_EQ(f.error_code, StatusCode::kNewtonDivergence);
+  for (const VictimFinding& f : report.findings) {
+    EXPECT_EQ(f.status, FindingStatus::kFellBackToFullSim) << "net " << f.net;
+    EXPECT_EQ(f.retries, 3u);
+    EXPECT_EQ(f.error_code, StatusCode::kNewtonDivergence);
+    EXPECT_GT(std::fabs(f.peak), 0.0);
+  }
   EXPECT_EQ(report.victims_analyzed, 0u);
   EXPECT_EQ(report.victims_fallback, report.findings.size());
   EXPECT_EQ(report.victims_failed, 0u);
-  EXPECT_GT(std::fabs(f.peak), 0.0);
 }
 
 TEST_F(RobustnessFixture, LadderFallsBackToConservativeBound) {
   VerifierOptions options = fast_options();
   // Clean reference run first (also primes the cell characterization, so
   // the injected run never needs a fresh SPICE characterization solve).
-  options.max_victims = 2;
   ChipVerifier verifier(*extractor_, *chars_);
   const VerificationReport clean = verifier.verify(*design_, options);
   ASSERT_GE(clean.findings.size(), 1u);
@@ -269,7 +267,6 @@ TEST_F(RobustnessFixture, AccountingInvariantUnderPeriodicInjection) {
 
 TEST_F(RobustnessFixture, CleanRunsAreDeterministicAndLadderFree) {
   VerifierOptions options = fast_options();
-  options.max_victims = 4;
   ChipVerifier verifier(*extractor_, *chars_);
   const VerificationReport a = verifier.verify(*design_, options);
   const VerificationReport b = verifier.verify(*design_, options);

@@ -4,7 +4,7 @@
 // victim it held, which is retried on another holder and — if it kills
 // that one too — conceded as kShardCrashed with a finite conservative
 // bound; the merged journal is written atomically and resumes cleanly,
-// including after a killed coordinator leaves shard journals behind.
+// including after a killed run leaves its insurance file behind.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -230,12 +231,10 @@ TEST_F(ShardFixture, WireDecoderLatchesCorruptionAndKeepsTornTails) {
 TEST_F(ShardFixture, CrashMarkerWritesParseAndResumeTruncatesThem) {
   // Shard journals from older builds can end in the crash marker a dying
   // worker's signal handler wrote ("xtvjc <victim> <signal>"). Such a
-  // journal must still load and resume: the marker ends the intact
-  // prefix, and resume truncates it away.
+  // journal must still load: the marker ends the intact prefix.
   const std::string path = temp_path("xtv_marker.journal");
   {
-    ResultJournal journal(path, /*resume=*/false, /*options_hash=*/0x5eed,
-                          /*flush_every=*/1);
+    ResultJournal journal(path, /*options_hash=*/0x5eed);
     JournalRecord rec;
     rec.finding.net = 5;
     journal.append(rec);
@@ -248,11 +247,6 @@ TEST_F(ShardFixture, CrashMarkerWritesParseAndResumeTruncatesThem) {
   ASSERT_EQ(loaded.records.size(), 1u);
   EXPECT_EQ(loaded.records[0].finding.net, 5u);
   EXPECT_TRUE(loaded.tail_discarded);
-
-  { ResultJournal reopened(path, /*resume=*/true, 0x5eed); }
-  auto after = ResultJournal::load(path);
-  EXPECT_EQ(after.records.size(), 1u);
-  EXPECT_FALSE(after.tail_discarded);
   std::remove(path.c_str());
 }
 
@@ -296,6 +290,7 @@ TEST_F(ShardFixture, ProcessRunMatchesInProcessBitExactly) {
   ChipVerifier verifier(*extractor_, *chars_);
   const std::string j1 = temp_path("xtv_shard_p1.journal");
   const std::string j4 = temp_path("xtv_shard_p4.journal");
+  const std::string jt = temp_path("xtv_shard_t4.journal");
 
   VerifierOptions options = fast_options();
   options.processes = 1;
@@ -306,6 +301,13 @@ TEST_F(ShardFixture, ProcessRunMatchesInProcessBitExactly) {
   options.journal_path = j4;
   const VerificationReport four = verifier.verify(*design_, options);
 
+  // The in-process pool finishes victims out of net order; its journal
+  // must not show it.
+  options.processes = 0;
+  options.threads = 4;
+  options.journal_path = jt;
+  verifier.verify(*design_, options);
+
   expect_reports_equal_except(serial, one);
   expect_reports_equal_except(serial, four);
   expect_accounting_invariant(four);
@@ -314,23 +316,63 @@ TEST_F(ShardFixture, ProcessRunMatchesInProcessBitExactly) {
   EXPECT_EQ(four.victims_quarantined, 0u);
   EXPECT_EQ(four.victims_shard_crashed, 0u);
 
-  // Both merged journals hold the same records in the same stable order
-  // (CPU time is the one per-run field).
+  // All three merged journals hold the same records in the same stable
+  // order (CPU time is the one per-run field).
   auto a = ResultJournal::load(j1);
-  auto b = ResultJournal::load(j4);
   EXPECT_TRUE(a.has_header);
-  EXPECT_EQ(a.header_hash, b.header_hash);
-  ASSERT_EQ(a.records.size(), b.records.size());
   ASSERT_EQ(a.records.size(), serial.victims_eligible);
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].finding.net, b.records[i].finding.net);
-    EXPECT_EQ(a.records[i].finding.peak, b.records[i].finding.peak);
-    EXPECT_EQ(a.records[i].finding.status, b.records[i].finding.status);
+  for (const std::string& other : {j4, jt}) {
+    SCOPED_TRACE(other);
+    auto b = ResultJournal::load(other);
+    EXPECT_EQ(a.header_hash, b.header_hash);
+    ASSERT_EQ(a.records.size(), b.records.size());
+    for (std::size_t i = 0; i < a.records.size(); ++i) {
+      EXPECT_EQ(a.records[i].finding.net, b.records[i].finding.net);
+      EXPECT_EQ(a.records[i].finding.peak, b.records[i].finding.peak);
+      EXPECT_EQ(a.records[i].finding.status, b.records[i].finding.status);
+    }
+    // The insurance file was retired after finalization.
+    EXPECT_NE(::access(journal_insurance_path(other).c_str(), F_OK), 0);
   }
-  // Shard journals were retired after finalization.
-  EXPECT_NE(::access(journal_shard_path(j4, 0).c_str(), F_OK), 0);
   std::remove(j1.c_str());
   std::remove(j4.c_str());
+  std::remove(jt.c_str());
+}
+
+TEST_F(ShardFixture, InProcessRecordIsInsuredBeforeItStreams) {
+  // Every backend settles through one sink: the record is appended (and
+  // fsync'd) to <journal>.shard0 before on_record sees it, so the k-th
+  // streamed record finds at least k records insured.
+  const std::string path = temp_path("xtv_shard_insured.journal");
+  const std::string insurance = journal_insurance_path(path);
+  constexpr std::size_t kProbeAt = 5;
+  std::mutex mutex;
+  std::size_t seen = 0;
+  std::size_t insured_at_probe = 0;
+
+  ChipVerifier verifier(*extractor_, *chars_);
+  VerifierOptions options = fast_options();
+  options.threads = 2;
+  options.journal_path = path;
+  options.on_record = [&](const JournalRecord&) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (++seen == kProbeAt)
+      insured_at_probe = ResultJournal::load(insurance).records.size();
+  };
+  const VerificationReport report = verifier.verify(*design_, options);
+  ASSERT_GT(report.victims_eligible, kProbeAt);
+  EXPECT_EQ(seen, report.victims_eligible);
+  EXPECT_GE(insured_at_probe, kProbeAt);
+
+  // After verify() the insurance file is gone and the journal holds every
+  // record in candidate (net) order.
+  EXPECT_NE(::access(insurance.c_str(), F_OK), 0);
+  auto merged = ResultJournal::load(path);
+  EXPECT_FALSE(merged.tail_discarded);
+  ASSERT_EQ(merged.records.size(), report.victims_eligible);
+  for (std::size_t i = 1; i < merged.records.size(); ++i)
+    EXPECT_LT(merged.records[i - 1].finding.net, merged.records[i].finding.net);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -484,7 +526,7 @@ TEST_F(ShardFixture, ResumeFoldsLeftoverShardJournalsIn) {
     for (std::size_t i = 0; i < base_keep; ++i) base << lines[1 + i] << '\n';
   }
   {
-    std::ofstream shard(journal_shard_path(path, 0),
+    std::ofstream shard(journal_insurance_path(path),
                         std::ios::binary | std::ios::trunc);
     shard << header << '\n';
     for (std::size_t i = 0; i < shard_keep; ++i)
@@ -494,8 +536,8 @@ TEST_F(ShardFixture, ResumeFoldsLeftoverShardJournalsIn) {
   options.resume = true;
   const VerificationReport resumed = verifier.verify(*design_, options);
   expect_reports_equal_except(full, resumed);
-  // The leftover shard journal was consumed and retired.
-  EXPECT_NE(::access(journal_shard_path(path, 0).c_str(), F_OK), 0);
+  // The leftover insurance file was consumed and retired.
+  EXPECT_NE(::access(journal_insurance_path(path).c_str(), F_OK), 0);
   auto merged = ResultJournal::load(path);
   EXPECT_EQ(merged.records.size(), full.victims_eligible);
 
@@ -509,59 +551,6 @@ TEST_F(ShardFixture, ResumeFoldsLeftoverShardJournalsIn) {
   fi.reset();
   expect_reports_equal_except(resumed, replay);
   std::remove(path.c_str());
-}
-
-TEST_F(ShardFixture, NonContiguousStaleShardJournalsAreSwept) {
-  const std::string path = temp_path("xtv_shard_stale.journal");
-  std::remove(path.c_str());
-
-  // Stale leftovers from an older interrupted run under a different
-  // worker count: indices 3 and 12, no .shard0. A probe-until-first-miss
-  // scan would see none of them; the directory scan must see both.
-  for (std::size_t k : {std::size_t{3}, std::size_t{12}}) {
-    std::ofstream shard(journal_shard_path(path, k),
-                        std::ios::binary | std::ios::trunc);
-    shard << "xtvjh 0123456789abcdef\n";  // hash matches no real options
-  }
-  // A .tmp straggler must not be mistaken for a shard index.
-  {
-    std::ofstream tmp(journal_shard_path(path, 3) + ".tmp");
-    tmp << "partial";
-  }
-  EXPECT_EQ(journal_list_shards(path),
-            (std::vector<std::size_t>{3, 12}));
-
-  ChipVerifier verifier(*extractor_, *chars_);
-  VerifierOptions options = fast_options();
-  options.processes = 2;
-  options.journal_path = path;
-  const VerificationReport report = verifier.verify(*design_, options);
-  expect_reports_equal_except(baseline_report(), report);
-
-  // The fully successful run retired every shard file on disk — the
-  // stale non-contiguous ones included — so a later --resume has
-  // nothing foreign to fold.
-  EXPECT_TRUE(journal_list_shards(path).empty());
-  auto merged = ResultJournal::load(path);
-  EXPECT_TRUE(merged.has_header);
-  EXPECT_EQ(merged.records.size(), report.victims_eligible);
-  std::remove((journal_shard_path(path, 3) + ".tmp").c_str());
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Guard rails.
-
-TEST_F(ShardFixture, MaxVictimsForcesTheInProcessPath) {
-  ChipVerifier verifier(*extractor_, *chars_);
-  VerifierOptions options = fast_options();
-  options.processes = 4;
-  options.max_victims = 3;
-  const VerificationReport report = verifier.verify(*design_, options);
-  // The cap is honored (process mode would have ignored it) and no
-  // holder was ever forked.
-  EXPECT_LE(report.victims_analyzed, 3u);
-  EXPECT_EQ(report.worker_crashes, 0u);
 }
 
 }  // namespace
