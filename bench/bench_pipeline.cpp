@@ -1,18 +1,16 @@
 // Staged-pipeline benchmark (DESIGN.md §11, §16): the reduced-model cache
-// and the per-thread workspace arena on their intended workload — a
-// row-tiled DSP-class design where every standard-cell row repeats the
-// same cluster pencils. Measures verify() with the cache off vs on
-// (threads >= 4), the realized cache hit rate, the workspace allocator
-// traffic per victim, exact vs canonical cache keys on a load-skewed
-// copy of the design, and journal identity across execution modes;
-// writes BENCH_pipeline.json for the nightly trend job.
+// on its intended workload — a row-tiled DSP-class design where every
+// standard-cell row repeats the same cluster pencils. Measures verify()
+// with the cache off vs on (threads >= 4), the realized cache hit rate,
+// the DenseMatrix allocations per victim, exact vs canonical cache keys
+// on a load-skewed copy of the design, and journal identity across
+// execution modes; writes BENCH_pipeline.json for the nightly trend job.
 //
 // Claims under test (the nightly gate):
 //  - cache hit rate > 30% on the tiled design (each row past the first
 //    should hit for nearly every victim);
 //  - cached wall-clock >= 1.3x faster than no-cache on the same design;
 //  - findings bit-identical between the two runs (the hit-reuse doctrine);
-//  - workspace pool hits dominate misses once the arenas are warm;
 //  - on the load-skewed design (exact fingerprints never re-match across
 //    rows) the canonical index hits at least as often as exact keys, with
 //    every tolerant reuse gated by a certificate re-pass;
@@ -95,7 +93,7 @@ double hit_rate_of(const VerificationReport& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("== Staged pipeline: model cache + workspace arena ==\n\n");
+  std::printf("== Staged pipeline: model cache ==\n\n");
 
   std::size_t net_count = 400;
   std::size_t rows = 4;
@@ -129,8 +127,8 @@ int main(int argc, char** argv) {
   std::printf("design: %zu nets in %zu identical rows, %zu threads\n\n",
               design.nets.size(), rows, threads);
 
-  // Warm-up pass characterizes the cells and the thread-pool arenas so
-  // both timed passes see identical conditions.
+  // Warm-up pass characterizes the cells so both timed passes see
+  // identical conditions.
   (void)verifier.verify(design, nocache);
   ctx.chars.save(bench::kCellCachePath);
 
@@ -154,11 +152,8 @@ int main(int argc, char** argv) {
 
   std::printf("cache off : %8.3f s wall, %.1f s cpu\n", r_off.wall_seconds,
               r_off.total_cpu_seconds);
-  std::printf("  workspace: %zu acquires (%.1f per victim), %zu pool hits, "
-              "%zu misses, %.1f MiB reused\n",
-              ws_off.acquires, static_cast<double>(ws_off.acquires) / victims,
-              ws_off.pool_hits, ws_off.pool_misses,
-              static_cast<double>(ws_off.reused_bytes) / (1024.0 * 1024.0));
+  std::printf("  DenseMatrix allocations: %zu (%.1f per victim)\n",
+              ws_off.acquires, static_cast<double>(ws_off.acquires) / victims);
   std::printf("cache on  : %8.3f s wall, %.1f s cpu (%.2fx)\n",
               r_on.wall_seconds, r_on.total_cpu_seconds, speedup);
   std::printf("  model cache: %zu hits / %zu lookups (%.0f%% hit rate), "
@@ -167,10 +162,8 @@ int main(int argc, char** argv) {
               r_on.model_cache_entries,
               static_cast<double>(r_on.model_cache_bytes) / (1024.0 * 1024.0),
               r_on.model_cache_evictions);
-  std::printf("  workspace: %zu acquires (%.1f per victim), %zu pool hits, "
-              "%zu misses\n",
-              ws_on.acquires, static_cast<double>(ws_on.acquires) / victims,
-              ws_on.pool_hits, ws_on.pool_misses);
+  std::printf("  DenseMatrix allocations: %zu (%.1f per victim)\n",
+              ws_on.acquires, static_cast<double>(ws_on.acquires) / victims);
   std::printf("findings bit-identical: %s\n", identical ? "yes" : "NO");
 
   // Exact vs canonical keys. Load-skewed replicas: every row's receiver
@@ -255,11 +248,6 @@ int main(int argc, char** argv) {
                  r_on.model_cache_evictions);
     std::fprintf(json, "  \"workspace_acquires_per_victim\": %.3f,\n",
                  static_cast<double>(ws_on.acquires) / victims);
-    std::fprintf(json, "  \"workspace_pool_hits\": %zu,\n", ws_on.pool_hits);
-    std::fprintf(json, "  \"workspace_pool_misses\": %zu,\n",
-                 ws_on.pool_misses);
-    std::fprintf(json, "  \"workspace_reused_mib\": %.3f,\n",
-                 static_cast<double>(ws_on.reused_bytes) / (1024.0 * 1024.0));
     std::fprintf(json, "  \"findings_identical\": %s,\n",
                  identical ? "true" : "false");
     std::fprintf(json, "  \"exact_hit_rate\": %.4f,\n", rate_exact);

@@ -7,20 +7,6 @@
 
 namespace xtv {
 
-TheveninDriver::TheveninDriver(SourceWave voltage, double ohms)
-    : voltage_(std::move(voltage)), ohms_(ohms) {
-  if (ohms_ <= 0.0)
-    throw std::runtime_error("TheveninDriver: resistance must be positive");
-}
-
-double TheveninDriver::current(double v, double t) const {
-  return (voltage_.value(t) - v) / ohms_;
-}
-
-double TheveninDriver::conductance(double /*v*/, double /*t*/) const {
-  return -1.0 / ohms_;
-}
-
 namespace {
 
 /// Warps a switching wave: t' = mid + shift + (t - mid) * stretch, where

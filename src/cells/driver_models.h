@@ -1,9 +1,11 @@
-// Driver models for signal-integrity analysis (paper Section 4).
+// Non-linear driver model for signal-integrity analysis (paper Section 4.2).
 //
-// All three model classes implement OnePortDevice, so they plug equally
-// into the golden SPICE-class engine and the reduced-order simulator —
-// which is precisely how the paper's Tables 3/4 and Figures 6/7 compare
-// model accuracy against transistor-level simulation.
+// NonlinearTableDriver implements OnePortDevice, so it plugs equally into
+// the golden SPICE-class engine and the reduced-order simulator — which is
+// how the paper's Tables 3/4 and Figures 6/7 compare model accuracy
+// against transistor-level simulation. The Section 4.1 linear-resistor
+// model needs no device class: GlitchAnalyzer and DelayAnalyzer stamp its
+// port conductance and inject its Norton current directly.
 #pragma once
 
 #include <memory>
@@ -14,25 +16,6 @@
 #include "netlist/circuit.h"
 
 namespace xtv {
-
-/// Section 4.1: linear-resistor (Thevenin) driver — a voltage waveform
-/// behind the effective drive resistance deduced from the timing library.
-class TheveninDriver final : public OnePortDevice {
- public:
-  TheveninDriver(SourceWave voltage, double ohms);
-
-  double current(double v, double t) const override;
-  double conductance(double v, double t) const override;
-  void append_corners(std::vector<double>& times) const override {
-    voltage_.append_corners(times);
-  }
-
-  double resistance() const { return ohms_; }
-
- private:
-  SourceWave voltage_;
-  double ohms_;
-};
 
 /// Section 4.2: non-linear cell model — the pre-characterized quasi-static
 /// output-current surface I(Vin, Vout) driven by the cell's input waveform.

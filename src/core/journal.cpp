@@ -34,59 +34,6 @@ std::uint64_t fnv1a64(const std::string& s) {
   return h;
 }
 
-/// Error messages may contain spaces (and in principle any byte); encode
-/// them %XX-escaped into a single token. Empty encodes as "-".
-std::string escape(const std::string& s) {
-  if (s.empty()) return "-";
-  std::string out;
-  out.reserve(s.size());
-  char buf[4];
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c <= 0x20 || c > 0x7e || c == '%' || (i == 0 && c == '-')) {
-      std::snprintf(buf, sizeof(buf), "%%%02X", c);
-      out += buf;
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  return out;
-}
-
-bool unescape(const std::string& s, std::string& out) {
-  out.clear();
-  if (s == "-") return true;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%') {
-      if (i + 2 >= s.size()) return false;
-      char* end = nullptr;
-      const char hex[3] = {s[i + 1], s[i + 2], '\0'};
-      const long v = std::strtol(hex, &end, 16);
-      if (end != hex + 2) return false;
-      out += static_cast<char>(v);
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return true;
-}
-
-/// Hexfloat formatting round-trips doubles bit-exactly, which is what
-/// makes a resumed report identical to an uninterrupted one.
-std::string fmt_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-bool parse_double(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
 bool parse_size(const std::string& s, std::size_t& out) {
   if (s.empty()) return false;
   char* end = nullptr;
@@ -125,6 +72,55 @@ void fsync_parent_dir(const std::string& path) {
 
 }  // namespace
 
+std::string escape_token(const std::string& s) {
+  if (s.empty()) return "-";
+  std::string out;
+  out.reserve(s.size());
+  char buf[4];
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c <= 0x20 || c > 0x7e || c == '%' || (i == 0 && c == '-')) {
+      std::snprintf(buf, sizeof(buf), "%%%02X", c);
+      out += buf;
+    } else {
+      out += static_cast<char>(c);
+    }
+  }
+  return out;
+}
+
+bool unescape_token(const std::string& s, std::string* out) {
+  out->clear();
+  if (s == "-") return true;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] == '%') {
+      if (i + 2 >= s.size()) return false;
+      char* end = nullptr;
+      const char hex[3] = {s[i + 1], s[i + 2], '\0'};
+      const long v = std::strtol(hex, &end, 16);
+      if (end != hex + 2) return false;
+      *out += static_cast<char>(v);
+      i += 2;
+    } else {
+      *out += s[i];
+    }
+  }
+  return true;
+}
+
+std::string format_hexfloat(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+bool parse_double_token(const std::string& s, double* out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  *out = std::strtod(s.c_str(), &end);
+  return end == s.c_str() + s.size();
+}
+
 std::string journal_insurance_path(const std::string& base) {
   return base + ".shard0";
 }
@@ -134,18 +130,20 @@ std::string journal_encode(const JournalRecord& record) {
   std::ostringstream out;
   out << (record.screened ? 1 : 0) << ' ' << f.net << ' '
       << static_cast<int>(f.status) << ' ' << f.retries << ' '
-      << static_cast<int>(f.error_code) << ' ' << escape(f.error) << ' '
-      << fmt_double(f.peak) << ' ' << fmt_double(f.peak_fraction) << ' '
-      << (f.violation ? 1 : 0) << ' ' << f.aggressors_analyzed << ' '
+      << static_cast<int>(f.error_code) << ' ' << escape_token(f.error) << ' '
+      << format_hexfloat(f.peak) << ' ' << format_hexfloat(f.peak_fraction)
+      << ' ' << (f.violation ? 1 : 0) << ' ' << f.aggressors_analyzed << ' '
       << f.aggressors_dropped_by_correlation << ' '
-      << f.aggressors_dropped_by_window << ' ' << fmt_double(f.cpu_seconds)
-      << ' ' << f.reduced_order << ' ' << fmt_double(f.delay_decoupled) << ' '
-      << fmt_double(f.delay_coupled) << ' '
-      << fmt_double(f.driver_rms_current) << ' ' << (f.em_violation ? 1 : 0)
-      << ' ' << (f.certified ? 1 : 0) << ' ' << fmt_double(f.cert_max_rel_err)
-      << ' ' << f.cert_order_escalations << ' ' << (f.audited ? 1 : 0) << ' '
-      << (f.audit_pass ? 1 : 0) << ' ' << fmt_double(f.audit_peak_err) << ' '
-      << fmt_double(f.audit_time_err);
+      << f.aggressors_dropped_by_window << ' '
+      << format_hexfloat(f.cpu_seconds) << ' ' << f.reduced_order << ' '
+      << format_hexfloat(f.delay_decoupled) << ' '
+      << format_hexfloat(f.delay_coupled) << ' '
+      << format_hexfloat(f.driver_rms_current) << ' '
+      << (f.em_violation ? 1 : 0) << ' ' << (f.certified ? 1 : 0) << ' '
+      << format_hexfloat(f.cert_max_rel_err) << ' '
+      << f.cert_order_escalations << ' ' << (f.audited ? 1 : 0) << ' '
+      << (f.audit_pass ? 1 : 0) << ' ' << format_hexfloat(f.audit_peak_err)
+      << ' ' << format_hexfloat(f.audit_time_err);
   return out.str();
 }
 
@@ -167,26 +165,26 @@ bool journal_decode(const std::string& payload, JournalRecord& record) {
   if (!parse_size(tok[4], code) ||
       code > static_cast<std::size_t>(StatusCode::kWorkerCrashed))
     return false;
-  if (!unescape(tok[5], f.error)) return false;
-  if (!parse_double(tok[6], f.peak)) return false;
-  if (!parse_double(tok[7], f.peak_fraction)) return false;
+  if (!unescape_token(tok[5], &f.error)) return false;
+  if (!parse_double_token(tok[6], &f.peak)) return false;
+  if (!parse_double_token(tok[7], &f.peak_fraction)) return false;
   if (!parse_size(tok[8], violation) || violation > 1) return false;
   if (!parse_size(tok[9], f.aggressors_analyzed)) return false;
   if (!parse_size(tok[10], f.aggressors_dropped_by_correlation)) return false;
   if (!parse_size(tok[11], f.aggressors_dropped_by_window)) return false;
-  if (!parse_double(tok[12], f.cpu_seconds)) return false;
+  if (!parse_double_token(tok[12], &f.cpu_seconds)) return false;
   if (!parse_size(tok[13], f.reduced_order)) return false;
-  if (!parse_double(tok[14], f.delay_decoupled)) return false;
-  if (!parse_double(tok[15], f.delay_coupled)) return false;
-  if (!parse_double(tok[16], f.driver_rms_current)) return false;
+  if (!parse_double_token(tok[14], &f.delay_decoupled)) return false;
+  if (!parse_double_token(tok[15], &f.delay_coupled)) return false;
+  if (!parse_double_token(tok[16], &f.driver_rms_current)) return false;
   if (!parse_size(tok[17], em) || em > 1) return false;
   if (!parse_size(tok[18], certified) || certified > 1) return false;
-  if (!parse_double(tok[19], f.cert_max_rel_err)) return false;
+  if (!parse_double_token(tok[19], &f.cert_max_rel_err)) return false;
   if (!parse_size(tok[20], f.cert_order_escalations)) return false;
   if (!parse_size(tok[21], audited) || audited > 1) return false;
   if (!parse_size(tok[22], audit_pass) || audit_pass > 1) return false;
-  if (!parse_double(tok[23], f.audit_peak_err)) return false;
-  if (!parse_double(tok[24], f.audit_time_err)) return false;
+  if (!parse_double_token(tok[23], &f.audit_peak_err)) return false;
+  if (!parse_double_token(tok[24], &f.audit_time_err)) return false;
 
   f.status = static_cast<FindingStatus>(status);
   f.error_code = static_cast<StatusCode>(code);

@@ -58,6 +58,20 @@ std::string journal_encode(const JournalRecord& record);
 /// Decodes a payload line; returns false on any malformed field.
 bool journal_decode(const std::string& payload, JournalRecord& record);
 
+/// The token codec journal lines share with serve spec files and wire
+/// payloads. escape_token %XX-escapes free-form text (error messages,
+/// crash reasons; any byte) into one space-free token, empty as "-";
+/// unescape_token inverts it.
+std::string escape_token(const std::string& s);
+bool unescape_token(const std::string& s, std::string* out);
+
+/// A double as C hexfloat text, which round-trips bit-exactly: what makes
+/// a resumed report identical to an uninterrupted one, and a re-parsed
+/// serve spec's options hash equal to the submitted one.
+std::string format_hexfloat(double v);
+/// Parses a whole token (hexfloat or decimal) as a double.
+bool parse_double_token(const std::string& s, double* out);
+
 /// The insurance file of the journal at `base`: `<base>.shard0`. The name
 /// is the one older builds gave their coordinator's journal, so a file a
 /// killed older run left behind still folds into a resume.

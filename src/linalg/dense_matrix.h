@@ -22,26 +22,27 @@ using Vector = std::vector<double>;
 /// Row-major dense matrix of doubles. Storage is charged against the
 /// thread's active resource::ClusterScope (if any), so an over-budget
 /// cluster raises the typed kResourceExceeded at the allocation that
-/// breaches — before the allocation happens. Physical storage is checked
-/// out of the thread's workspace arena and recycled on destruction, so
-/// per-victim hot loops stop round-tripping the allocator; the logical
-/// MemCharge is unaffected by pooling.
+/// breaches — before the allocation happens. Each allocation of storage
+/// is counted (util/workspace.h).
 class DenseMatrix {
  public:
   DenseMatrix() = default;
 
   /// rows x cols matrix, zero-initialized.
   DenseMatrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), charge_(rows * cols * sizeof(double)) {
-    workspace::acquire(data_, rows * cols);
+      : rows_(rows),
+        cols_(cols),
+        charge_(rows * cols * sizeof(double)),
+        data_(rows * cols, 0.0) {
+    workspace::count_allocation();
   }
 
-  ~DenseMatrix() { workspace::release(data_); }
-
   DenseMatrix(const DenseMatrix& other)
-      : rows_(other.rows_), cols_(other.cols_), charge_(other.charge_) {
-    workspace::acquire(data_, other.data_.size());
-    std::copy(other.data_.begin(), other.data_.end(), data_.begin());
+      : rows_(other.rows_),
+        cols_(other.cols_),
+        charge_(other.charge_),
+        data_(other.data_) {
+    workspace::count_allocation();
   }
 
   DenseMatrix& operator=(const DenseMatrix& other) {
@@ -62,11 +63,10 @@ class DenseMatrix {
 
   DenseMatrix& operator=(DenseMatrix&& other) noexcept {
     if (this != &other) {
-      workspace::release(data_);
       rows_ = other.rows_;
       cols_ = other.cols_;
+      data_ = std::move(other.data_);  // frees ours before the charge goes
       charge_ = std::move(other.charge_);
-      data_ = std::move(other.data_);
       other.rows_ = other.cols_ = 0;
     }
     return *this;

@@ -13,6 +13,9 @@
 #include <cstring>
 #include <sstream>
 
+#include "util/atomic_file.h"
+#include "util/log.h"
+
 namespace xtv {
 namespace serve {
 
@@ -54,6 +57,64 @@ bool parse_tcp_endpoint(const std::string& endpoint, std::string* host,
   if (host) *host = t.substr(0, colon);
   if (port) *port = p;
   return true;
+}
+
+int listen_tcp(const std::string& address, const std::string& endpoint_file,
+               std::string* bound, std::string* error) {
+  std::string host, port;
+  if (!parse_tcp_endpoint("tcp:" + address, &host, &port)) {
+    *error = "listen address must be host:port, got \"" + address + "\"";
+    return -1;
+  }
+  addrinfo hints;
+  std::memset(&hints, 0, sizeof(hints));
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  hints.ai_flags = AI_PASSIVE;
+  addrinfo* res = nullptr;
+  const int gai = ::getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
+  if (gai != 0) {
+    *error = "cannot resolve " + address + ": " + ::gai_strerror(gai);
+    return -1;
+  }
+  int fd = -1;
+  for (addrinfo* ai = res; ai; ai = ai->ai_next) {
+    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+    if (fd < 0) continue;
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    if (::bind(fd, ai->ai_addr, ai->ai_addrlen) == 0 && ::listen(fd, 64) == 0)
+      break;
+    ::close(fd);
+    fd = -1;
+  }
+  ::freeaddrinfo(res);
+  if (fd < 0) {
+    *error = "cannot bind TCP listener on " + address + ": " +
+             std::strerror(errno);
+    return -1;
+  }
+
+  // Port 0 resolves to an ephemeral port: read back what was bound.
+  sockaddr_storage addr;
+  socklen_t len = sizeof(addr);
+  char bhost[NI_MAXHOST] = {0};
+  char bport[NI_MAXSERV] = {0};
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0 ||
+      ::getnameinfo(reinterpret_cast<sockaddr*>(&addr), len, bhost,
+                    sizeof(bhost), bport, sizeof(bport),
+                    NI_NUMERICHOST | NI_NUMERICSERV) != 0) {
+    *error = "cannot read back the port bound for " + address;
+    ::close(fd);
+    return -1;
+  }
+  *bound = std::string(bhost) + ":" + bport;
+  std::string werr;
+  if (!endpoint_file.empty() &&
+      !write_file_atomic(endpoint_file, *bound + "\n", &werr))
+    logf(LogLevel::kWarn, "endpoint file %s: %s", endpoint_file.c_str(),
+         werr.c_str());
+  return fd;
 }
 
 bool ServeClient::connect(const std::string& endpoint, std::string* error) {

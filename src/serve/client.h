@@ -58,6 +58,16 @@ class ServeClient {
 bool parse_tcp_endpoint(const std::string& endpoint, std::string* host,
                         std::string* port);
 
+/// Listens on the TCP endpoint `address` ("host:port"; port 0 asks for an
+/// ephemeral port): resolves it, binds the first address that takes with
+/// SO_REUSEADDR, listens, and reads the bound numeric "host:port" back
+/// into `*bound`. A non-empty `endpoint_file` gets that endpoint written
+/// atomically: clients and scripts poll the file, and a torn write (half
+/// a port number) would send them dialing a stranger's socket. Returns
+/// the (blocking) listening descriptor, or -1 with `error` set.
+int listen_tcp(const std::string& address, const std::string& endpoint_file,
+               std::string* bound, std::string* error);
+
 /// Everything a finished job streamed back.
 struct JobResult {
   std::uint64_t key = 0;

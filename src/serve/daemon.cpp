@@ -3,7 +3,6 @@
 #include <dirent.h>
 #include <errno.h>
 #include <fcntl.h>
-#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -24,6 +23,7 @@
 #include "core/journal.h"
 #include "core/pipeline.h"
 #include "core/verifier.h"
+#include "serve/client.h"
 #include "serve/remote.h"
 #include "util/atomic_file.h"
 #include "util/log.h"
@@ -265,67 +265,6 @@ bool ServeDaemon::bind_socket(std::string* error) {
       ::listen(listen_fd_, 16) != 0)
     return fail("bind/listen on ");
   subprocess::set_nonblocking(listen_fd_);
-  return true;
-}
-
-bool ServeDaemon::bind_tcp(std::string* error) {
-  const std::size_t colon = opt_.listen_address.rfind(':');
-  if (colon == std::string::npos || colon == 0) {
-    *error = "--listen expects host:port, got \"" + opt_.listen_address + "\"";
-    return false;
-  }
-  const std::string host = opt_.listen_address.substr(0, colon);
-  const std::string port = opt_.listen_address.substr(colon + 1);
-
-  addrinfo hints;
-  std::memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_PASSIVE;
-  addrinfo* res = nullptr;
-  const int gai = ::getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
-  if (gai != 0) {
-    *error = "cannot resolve " + opt_.listen_address + ": " +
-             ::gai_strerror(gai);
-    return false;
-  }
-  for (addrinfo* ai = res; ai; ai = ai->ai_next) {
-    const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, ai->ai_addr, ai->ai_addrlen) == 0 &&
-        ::listen(fd, 64) == 0) {
-      tcp_listen_fd_ = fd;
-      break;
-    }
-    ::close(fd);
-  }
-  ::freeaddrinfo(res);
-  if (tcp_listen_fd_ < 0) {
-    *error = "cannot bind TCP listener on " + opt_.listen_address + ": " +
-             std::strerror(errno);
-    return false;
-  }
-  subprocess::set_nonblocking(tcp_listen_fd_);
-
-  // Publish the bound endpoint (port 0 resolves to an ephemeral port) so
-  // clients and tests can discover it without parsing logs.
-  sockaddr_storage bound;
-  socklen_t blen = sizeof(bound);
-  char bhost[NI_MAXHOST] = {0};
-  char bport[NI_MAXSERV] = {0};
-  if (::getsockname(tcp_listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &blen) == 0 &&
-      ::getnameinfo(reinterpret_cast<sockaddr*>(&bound), blen, bhost,
-                    sizeof(bhost), bport, sizeof(bport),
-                    NI_NUMERICHOST | NI_NUMERICSERV) == 0) {
-    // Atomic write: tests and clients poll this file; a torn endpoint
-    // (half a port number) would send them dialing a stranger's socket.
-    write_file_atomic(daemon_tcp_path(opt_.jobs_dir),
-                      std::string(bhost) + ":" + bport + "\n");
-    logf(LogLevel::kInfo, "serve: TCP listener on %s:%s", bhost, bport);
-  }
   return true;
 }
 
@@ -1268,9 +1207,16 @@ int ServeDaemon::run() {
     logf(LogLevel::kError, "serve: %s", err.c_str());
     return 2;
   }
-  if (!opt_.listen_address.empty() && !bind_tcp(&err)) {
-    logf(LogLevel::kError, "serve: %s", err.c_str());
-    return 2;
+  if (!opt_.listen_address.empty()) {
+    std::string bound;
+    tcp_listen_fd_ = listen_tcp(opt_.listen_address,
+                                daemon_tcp_path(opt_.jobs_dir), &bound, &err);
+    if (tcp_listen_fd_ < 0) {
+      logf(LogLevel::kError, "serve: %s", err.c_str());
+      return 2;
+    }
+    subprocess::set_nonblocking(tcp_listen_fd_);
+    logf(LogLevel::kInfo, "serve: TCP listener on %s", bound.c_str());
   }
   try {
     const subprocess::Pipe wake = subprocess::make_pipe();

@@ -190,7 +190,6 @@ class ServeDaemon {
   // Startup.
   void build_design();
   bool bind_socket(std::string* error);
-  bool bind_tcp(std::string* error);
   void recover_jobs_dir();
 
   // Event handling.

@@ -21,22 +21,6 @@ namespace {
 constexpr const char* kSpecMagic = "xtvss";
 constexpr const char* kDoneMagic = "xtvsd";
 
-/// Hexfloat round-trip keeps a re-parsed spec's options bit-identical to
-/// the submitted ones — the property the job key (an options hash over
-/// double bit patterns) depends on.
-std::string fmt_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-bool parse_double_text(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
 bool parse_size_text(const std::string& s, std::size_t* out) {
   if (s.empty()) return false;
   char* end = nullptr;
@@ -118,7 +102,7 @@ bool JobSpec::parse(const std::string& text, JobSpec* spec,
     long l = 0;
     bool b = false;
     if (k == "threshold") {
-      if (!parse_double_text(v, &d) || d <= 0.0 || d > 1.0)
+      if (!parse_double_token(v, &d) || d <= 0.0 || d > 1.0)
         return bad("a fraction in (0,1]");
       out.options.glitch_threshold = d;
     } else if (k == "latch_only") {
@@ -131,13 +115,13 @@ bool JobSpec::parse(const std::string& text, JobSpec* spec,
       if (!parse_bool_text(v, &b)) return bad("0 or 1");
       out.options.use_noise_screen = b;
     } else if (k == "em_limit") {
-      if (!parse_double_text(v, &d) || d < 0.0) return bad("a value >= 0");
+      if (!parse_double_token(v, &d) || d < 0.0) return bad("a value >= 0");
       out.options.em_rms_limit = d;
     } else if (k == "align") {
       if (!parse_bool_text(v, &b)) return bad("0 or 1");
       out.options.glitch.align_aggressors = b;
     } else if (k == "tstop") {
-      if (!parse_double_text(v, &d) || d <= 0.0) return bad("a time > 0");
+      if (!parse_double_token(v, &d) || d <= 0.0) return bad("a time > 0");
       out.options.glitch.tstop = d;
     } else if (k == "mor_order") {
       if (!parse_size_text(v, &z)) return bad("an integer (0 = automatic)");
@@ -146,7 +130,7 @@ bool JobSpec::parse(const std::string& text, JobSpec* spec,
       if (!parse_bool_text(v, &b)) return bad("0 or 1");
       out.options.certify = b;
     } else if (k == "cert_tol") {
-      if (!parse_double_text(v, &d) || d <= 0.0) return bad("a value > 0");
+      if (!parse_double_token(v, &d) || d <= 0.0) return bad("a value > 0");
       out.options.cert_rel_tol = d;
     } else if (k == "cert_freqs") {
       if (!parse_size_text(v, &z) || z < 1) return bad("an integer >= 1");
@@ -158,36 +142,36 @@ bool JobSpec::parse(const std::string& text, JobSpec* spec,
       if (!parse_size_text(v, &z) || z < 1) return bad("an integer >= 1");
       out.options.mor_order_step = z;
     } else if (k == "audit_fraction") {
-      if (!parse_double_text(v, &d) || d < 0.0 || d > 1.0)
+      if (!parse_double_token(v, &d) || d < 0.0 || d > 1.0)
         return bad("a fraction in [0,1]");
       out.options.audit_fraction = d;
     } else if (k == "audit_seed") {
       if (!parse_size_text(v, &z)) return bad("an unsigned integer");
       out.options.audit_seed = z;
     } else if (k == "cache_mb") {
-      if (!parse_double_text(v, &d) || d < 0.0) return bad("a size >= 0");
+      if (!parse_double_token(v, &d) || d < 0.0) return bad("a size >= 0");
       out.options.model_cache_mb = d;
     } else if (k == "canonical_cache") {
       if (!parse_bool_text(v, &b)) return bad("0 or 1");
       out.options.canonical_cache = b;
     } else if (k == "canonical_tol") {
-      if (!parse_double_text(v, &d) || d <= 0.0 || d > 1.0)
+      if (!parse_double_token(v, &d) || d <= 0.0 || d > 1.0)
         return bad("a relative tolerance in (0,1]");
       out.options.canonical_cache_tol = d;
     } else if (k == "cluster_deadline_ms") {
-      if (!parse_double_text(v, &d) || d < 0.0) return bad("a value >= 0");
+      if (!parse_double_token(v, &d) || d < 0.0) return bad("a value >= 0");
       out.options.cluster_deadline_ms = d;
     } else if (k == "cluster_mem_mb") {
-      if (!parse_double_text(v, &d) || d < 0.0) return bad("a size >= 0");
+      if (!parse_double_token(v, &d) || d < 0.0) return bad("a size >= 0");
       out.options.cluster_mem_mb = d;
     } else if (k == "processes") {
       if (!parse_size_text(v, &z)) return bad("an integer >= 0");
       out.processes = z;
     } else if (k == "heartbeat_ms") {
-      if (!parse_double_text(v, &d) || d <= 0.0) return bad("a period > 0");
+      if (!parse_double_token(v, &d) || d <= 0.0) return bad("a period > 0");
       out.heartbeat_ms = d;
     } else if (k == "deadline_ms") {
-      if (!parse_double_text(v, &d)) return bad("a value in ms");
+      if (!parse_double_token(v, &d)) return bad("a value in ms");
       out.deadline_ms = d;
     } else if (k == "retries") {
       if (!parse_long_text(v, &l)) return bad("an integer");
@@ -214,7 +198,7 @@ bool JobSpec::parse(const std::string& text, JobSpec* spec,
       }
       saw_design_file = true;
     } else if (k == "mem_mb") {
-      if (!parse_double_text(v, &d) || d < 0.0) return bad("a size >= 0");
+      if (!parse_double_token(v, &d) || d < 0.0) return bad("a size >= 0");
       out.mem_mb = d;
     } else {
       if (error) *error = "unknown spec key \"" + k + "\"";
@@ -279,33 +263,33 @@ bool load_design_ref_file(const std::string& path, std::size_t* nets,
 
 std::string JobSpec::to_text() const {
   std::ostringstream out;
-  out << "threshold=" << fmt_double(options.glitch_threshold)
+  out << "threshold=" << format_hexfloat(options.glitch_threshold)
       << " latch_only=" << (options.latch_inputs_only ? 1 : 0)
       << " delay=" << (options.analyze_delay_change ? 1 : 0)
       << " screen=" << (options.use_noise_screen ? 1 : 0)
-      << " em_limit=" << fmt_double(options.em_rms_limit)
+      << " em_limit=" << format_hexfloat(options.em_rms_limit)
       << " align=" << (options.glitch.align_aggressors ? 1 : 0)
-      << " tstop=" << fmt_double(options.glitch.tstop)
+      << " tstop=" << format_hexfloat(options.glitch.tstop)
       << " mor_order=" << options.glitch.mor.max_order
       << " certify=" << (options.certify ? 1 : 0)
-      << " cert_tol=" << fmt_double(options.cert_rel_tol)
+      << " cert_tol=" << format_hexfloat(options.cert_rel_tol)
       << " cert_freqs=" << options.cert_freqs
       << " max_mor_order=" << options.max_mor_order
       << " mor_step=" << options.mor_order_step
-      << " audit_fraction=" << fmt_double(options.audit_fraction)
+      << " audit_fraction=" << format_hexfloat(options.audit_fraction)
       << " audit_seed=" << options.audit_seed
-      << " cache_mb=" << fmt_double(options.model_cache_mb)
+      << " cache_mb=" << format_hexfloat(options.model_cache_mb)
       << " canonical_cache=" << (options.canonical_cache ? 1 : 0)
-      << " canonical_tol=" << fmt_double(options.canonical_cache_tol)
-      << " cluster_deadline_ms=" << fmt_double(options.cluster_deadline_ms)
-      << " cluster_mem_mb=" << fmt_double(options.cluster_mem_mb)
+      << " canonical_tol=" << format_hexfloat(options.canonical_cache_tol)
+      << " cluster_deadline_ms=" << format_hexfloat(options.cluster_deadline_ms)
+      << " cluster_mem_mb=" << format_hexfloat(options.cluster_mem_mb)
       << " nets=" << design_nets
       << " rows=" << design_rows
       << " chip_seed=" << design_seed
-      << " mem_mb=" << fmt_double(mem_mb)
+      << " mem_mb=" << format_hexfloat(mem_mb)
       << " processes=" << processes
-      << " heartbeat_ms=" << fmt_double(heartbeat_ms)
-      << " deadline_ms=" << fmt_double(deadline_ms)
+      << " heartbeat_ms=" << format_hexfloat(heartbeat_ms)
+      << " deadline_ms=" << format_hexfloat(deadline_ms)
       << " retries=" << retries;
   return out.str();
 }
@@ -367,42 +351,6 @@ JobPaths job_paths(const std::string& jobs_dir, std::uint64_t key) {
   p.done = base + ".done";
   p.pid = base + ".pid";
   return p;
-}
-
-std::string serve_escape(const std::string& s) {
-  if (s.empty()) return "-";
-  std::string out;
-  out.reserve(s.size());
-  char buf[4];
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c <= 0x20 || c > 0x7e || c == '%' || (i == 0 && c == '-')) {
-      std::snprintf(buf, sizeof(buf), "%%%02X", c);
-      out += buf;
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  return out;
-}
-
-bool serve_unescape(const std::string& s, std::string* out) {
-  out->clear();
-  if (s == "-") return true;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%') {
-      if (i + 2 >= s.size()) return false;
-      char* end = nullptr;
-      const char hex[3] = {s[i + 1], s[i + 2], '\0'};
-      const long v = std::strtol(hex, &end, 16);
-      if (end != hex + 2) return false;
-      *out += static_cast<char>(v);
-      i += 2;
-    } else {
-      *out += s[i];
-    }
-  }
-  return true;
 }
 
 bool write_spec_file(const std::string& path, const JobSpec& spec,

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/journal.h"
 #include "core/verifier.h"
 
 namespace xtv {
@@ -120,9 +121,14 @@ struct JobPaths {
 JobPaths job_paths(const std::string& jobs_dir, std::uint64_t key);
 
 /// %XX-escapes free-form text (crash reasons, summaries) into a single
-/// space-free token for wire payloads; empty encodes as "-".
-std::string serve_escape(const std::string& s);
-bool serve_unescape(const std::string& s, std::string* out);
+/// space-free token for wire payloads; empty encodes as "-". The codec is
+/// the journal's (core/journal.h).
+inline std::string serve_escape(const std::string& s) {
+  return escape_token(s);
+}
+inline bool serve_unescape(const std::string& s, std::string* out) {
+  return unescape_token(s, out);
+}
 
 /// Atomically (tmp + fsync + rename) persists a spec file:
 ///   xtvss <key> <attempts>\n<canonical spec text>\n

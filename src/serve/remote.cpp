@@ -1,7 +1,6 @@
 #include "serve/remote.h"
 
 #include <errno.h>
-#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <signal.h>
@@ -10,7 +9,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <sstream>
 
@@ -22,7 +20,6 @@
 #include "extract/extractor.h"
 #include "serve/client.h"
 #include "serve/job.h"
-#include "util/atomic_file.h"
 #include "util/log.h"
 
 namespace xtv {
@@ -226,61 +223,12 @@ void worker_serve_connection(int fd, const WorkerOptions& opt) {
 int run_worker(const WorkerOptions& opt) {
   ::signal(SIGPIPE, SIG_IGN);
 
-  std::string host, port;
-  if (!parse_tcp_endpoint(opt.listen, &host, &port)) {
-    logf(LogLevel::kError, "xtv_worker: bad listen address '%s'",
-         opt.listen.c_str());
-    return 2;
-  }
-
-  addrinfo hints;
-  std::memset(&hints, 0, sizeof hints);
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_PASSIVE;
-  addrinfo* res = nullptr;
-  if (::getaddrinfo(host.c_str(), port.c_str(), &hints, &res) != 0 ||
-      res == nullptr) {
-    logf(LogLevel::kError, "xtv_worker: cannot resolve '%s'",
-         opt.listen.c_str());
-    return 2;
-  }
-  int listen_fd = -1;
-  for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    listen_fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (listen_fd < 0) continue;
-    const int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    if (::bind(listen_fd, ai->ai_addr, ai->ai_addrlen) == 0 &&
-        ::listen(listen_fd, 8) == 0)
-      break;
-    ::close(listen_fd);
-    listen_fd = -1;
-  }
-  ::freeaddrinfo(res);
+  std::string endpoint, err;
+  const int listen_fd = listen_tcp(opt.listen, opt.endpoint_file, &endpoint,
+                                   &err);
   if (listen_fd < 0) {
-    logf(LogLevel::kError, "xtv_worker: cannot bind %s: %s",
-         opt.listen.c_str(), std::strerror(errno));
+    logf(LogLevel::kError, "xtv_worker: %s", err.c_str());
     return 2;
-  }
-
-  // Resolve the actual port (the listen address may have asked for an
-  // ephemeral one) and publish it atomically — a script reading the
-  // endpoint file never sees a torn write.
-  sockaddr_storage bound;
-  socklen_t blen = sizeof bound;
-  char bhost[NI_MAXHOST] = "127.0.0.1";
-  char bport[NI_MAXSERV] = "0";
-  if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &blen) ==
-      0)
-    ::getnameinfo(reinterpret_cast<sockaddr*>(&bound), blen, bhost,
-                  sizeof bhost, bport, sizeof bport,
-                  NI_NUMERICHOST | NI_NUMERICSERV);
-  const std::string endpoint = std::string(bhost) + ":" + bport;
-  if (!opt.endpoint_file.empty()) {
-    std::string err;
-    if (!write_file_atomic(opt.endpoint_file, endpoint + "\n", &err))
-      logf(LogLevel::kWarn, "xtv_worker: endpoint file: %s", err.c_str());
   }
   logf(LogLevel::kInfo, "xtv_worker: listening on %s", endpoint.c_str());
 

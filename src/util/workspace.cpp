@@ -1,116 +1,25 @@
 #include "util/workspace.h"
 
-#include <algorithm>
-#include <utility>
+#include <atomic>
 
 namespace xtv::workspace {
 
 namespace {
 
-struct AtomicStats {
-  std::atomic<std::size_t> acquires{0};
-  std::atomic<std::size_t> pool_hits{0};
-  std::atomic<std::size_t> pool_misses{0};
-  std::atomic<std::size_t> releases{0};
-  std::atomic<std::size_t> dropped{0};
-  std::atomic<std::size_t> reused_bytes{0};
-};
-
-AtomicStats& global_stats() {
-  static AtomicStats stats;
-  return stats;
-}
-
-thread_local Workspace* t_scope_workspace = nullptr;
+std::atomic<std::size_t> g_allocations{0};
 
 }  // namespace
 
-Workspace& Workspace::local() {
-  if (t_scope_workspace) return *t_scope_workspace;
-  thread_local Workspace arena;
-  return arena;
+void count_allocation() {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
 }
-
-Workspace::Scope::Scope() : prev_(t_scope_workspace) {
-  t_scope_workspace = &workspace_;
-}
-
-Workspace::Scope::~Scope() { t_scope_workspace = prev_; }
-
-void Workspace::acquire(std::vector<double>& out, std::size_t n) {
-  auto& stats = global_stats();
-  stats.acquires.fetch_add(1, std::memory_order_relaxed);
-  // Best fit: the smallest pooled buffer whose capacity covers n. Anything
-  // bigger would strand capacity; anything smaller would reallocate inside
-  // assign() and defeat the pool.
-  std::size_t best = pool_.size();
-  for (std::size_t i = 0; i < pool_.size(); ++i) {
-    if (pool_[i].capacity() < n) continue;
-    if (best == pool_.size() || pool_[i].capacity() < pool_[best].capacity())
-      best = i;
-  }
-  if (best < pool_.size()) {
-    pooled_bytes_ -= pool_[best].capacity() * sizeof(double);
-    out = std::move(pool_[best]);
-    pool_.erase(pool_.begin() + static_cast<std::ptrdiff_t>(best));
-    stats.pool_hits.fetch_add(1, std::memory_order_relaxed);
-    stats.reused_bytes.fetch_add(n * sizeof(double), std::memory_order_relaxed);
-  } else {
-    stats.pool_misses.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Zero-fill the requested extent: recycled capacity must never leak one
-  // victim's values into the next.
-  out.assign(n, 0.0);
-}
-
-void Workspace::release(std::vector<double>& buf) {
-  const std::size_t bytes = buf.capacity() * sizeof(double);
-  if (bytes == 0) return;
-  auto& stats = global_stats();
-  stats.releases.fetch_add(1, std::memory_order_relaxed);
-  if (bytes > kMaxBufferBytes || pool_.size() >= kMaxBuffers ||
-      pooled_bytes_ + bytes > kMaxPooledBytes) {
-    stats.dropped.fetch_add(1, std::memory_order_relaxed);
-    std::vector<double>().swap(buf);
-    return;
-  }
-  buf.clear();
-  pooled_bytes_ += bytes;
-  pool_.push_back(std::move(buf));
-  buf = std::vector<double>();
-}
-
-void Workspace::clear() {
-  pool_.clear();
-  pooled_bytes_ = 0;
-}
-
-void acquire(std::vector<double>& out, std::size_t n) {
-  Workspace::local().acquire(out, n);
-}
-
-void release(std::vector<double>& buf) { Workspace::local().release(buf); }
 
 Stats stats() {
-  const auto& g = global_stats();
   Stats s;
-  s.acquires = g.acquires.load(std::memory_order_relaxed);
-  s.pool_hits = g.pool_hits.load(std::memory_order_relaxed);
-  s.pool_misses = g.pool_misses.load(std::memory_order_relaxed);
-  s.releases = g.releases.load(std::memory_order_relaxed);
-  s.dropped = g.dropped.load(std::memory_order_relaxed);
-  s.reused_bytes = g.reused_bytes.load(std::memory_order_relaxed);
+  s.acquires = g_allocations.load(std::memory_order_relaxed);
   return s;
 }
 
-void reset_stats() {
-  auto& g = global_stats();
-  g.acquires.store(0, std::memory_order_relaxed);
-  g.pool_hits.store(0, std::memory_order_relaxed);
-  g.pool_misses.store(0, std::memory_order_relaxed);
-  g.releases.store(0, std::memory_order_relaxed);
-  g.dropped.store(0, std::memory_order_relaxed);
-  g.reused_bytes.store(0, std::memory_order_relaxed);
-}
+void reset_stats() { g_allocations.store(0, std::memory_order_relaxed); }
 
 }  // namespace xtv::workspace

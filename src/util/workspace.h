@@ -1,112 +1,32 @@
-// Per-thread reusable buffer arena for the hot per-victim kernels.
+// Count of DenseMatrix storage allocations.
 //
-// Every victim analysis allocates the same shapes over and over: dense MNA
-// matrices, Krylov block vectors, diagonalization buffers, Newton scratch,
-// waveform storage. The paper's clusters are tiny (2-5 nets post-pruning)
-// but there are thousands of them per chip, so allocator churn — not
-// arithmetic — dominates the cheap stages. The Workspace keeps a bounded,
-// strictly thread-local pool of `std::vector<double>` storage: kernels
-// check buffers out (`acquire`), use them, and return their capacity
-// (`release`) for the next victim on the same worker.
+// DenseMatrix owns plain zero-filled std::vector<double> storage; nothing
+// pools or recycles it. This header keeps only a process-wide count of
+// those allocations (one relaxed atomic, a few dozen increments per
+// victim), so a test can catch a hot loop that builds a matrix per step
+// and the benchmark can report allocations per victim.
 //
-// Composition with resource accounting (util/resource.h): the Workspace
-// recycles *physical* capacity only. Logical accounting is unchanged —
-// DenseMatrix still carries a MemCharge for its full extent, so a cluster
-// memory budget (--cluster-mem-mb) sees exactly the bytes it saw before
-// pooling, and a breach still throws before the buffer is handed out.
-//
-// Lifetime rules:
-//  - Pools are thread-local. A buffer released on thread B after being
-//    acquired on thread A simply joins B's pool; buffers are fungible.
-//  - acquire() always returns zero-filled storage of the requested size,
-//    so recycled capacity can never leak one victim's values into the next.
-//  - The pool is bounded (buffer count and total bytes); beyond the bound,
-//    released capacity is freed normally. A worker thread's pool dies with
-//    the thread.
-//  - Workspace::Scope installs a fresh, empty pool for the current thread
-//    and restores the previous one on exit — used by tests that need
-//    isolated pool statistics, never required for correctness.
+// The names (`workspace`, `acquires`, `pool_hits`) are the ones perfbench
+// reads. `pool_hits` always reads 0 now that there is no pool, so
+// perfbench's `workspace.pool_hit_ratio` reads 0; like
+// VerificationReport::batched_victims it retires with the next benchmark
+// change.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <vector>
 
 namespace xtv::workspace {
 
-/// Process-wide pool statistics (relaxed atomics; exact under a quiescent
-/// reader, which is all the benches need).
 struct Stats {
-  std::size_t acquires = 0;      ///< total acquire() calls
-  std::size_t pool_hits = 0;     ///< acquires served from recycled capacity
-  std::size_t pool_misses = 0;   ///< acquires that had to allocate fresh
-  std::size_t releases = 0;      ///< total release() calls with capacity
-  std::size_t dropped = 0;       ///< releases the bounded pool refused
-  std::size_t reused_bytes = 0;  ///< bytes served without touching malloc
+  std::size_t acquires = 0;   ///< DenseMatrix storage allocations
+  std::size_t pool_hits = 0;  ///< always 0: there is no pool
 };
 
-/// A bounded pool of double buffers. Not thread-safe by design: every
-/// instance is owned by exactly one thread (see local()).
-class Workspace {
- public:
-  /// Pool bounds: past either, released buffers are freed, not kept.
-  static constexpr std::size_t kMaxBuffers = 64;
-  static constexpr std::size_t kMaxPooledBytes = 48u << 20;  // 48 MiB
-  /// Buffers above this size are never pooled (one-off giants).
-  static constexpr std::size_t kMaxBufferBytes = 16u << 20;  // 16 MiB
+/// Counts one DenseMatrix storage allocation.
+void count_allocation();
 
-  Workspace() = default;
-  ~Workspace() = default;
-  Workspace(const Workspace&) = delete;
-  Workspace& operator=(const Workspace&) = delete;
-
-  /// Fills `out` with a zero-initialized buffer of size n, reusing pooled
-  /// capacity when a large-enough buffer is available (best fit).
-  void acquire(std::vector<double>& out, std::size_t n);
-
-  /// Donates `buf`'s capacity to the pool (buf is left empty). Oversized
-  /// buffers and donations beyond the pool bounds are freed instead.
-  void release(std::vector<double>& buf);
-
-  /// Frees every pooled buffer.
-  void clear();
-
-  std::size_t pooled_buffers() const { return pool_.size(); }
-  std::size_t pooled_bytes() const { return pooled_bytes_; }
-
-  /// The calling thread's workspace: the innermost installed Scope's, or
-  /// the thread's persistent default arena.
-  static Workspace& local();
-
-  /// Installs a fresh workspace for the current thread; restores the
-  /// previous one (and frees this one's pool) on destruction. Defined
-  /// below the class (it holds a Workspace by value).
-  class Scope;
-
- private:
-  std::vector<std::vector<double>> pool_;
-  std::size_t pooled_bytes_ = 0;
-};
-
-class Workspace::Scope {
- public:
-  Scope();
-  ~Scope();
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
-  Workspace& workspace() { return workspace_; }
-
- private:
-  Workspace workspace_;
-  Workspace* prev_;
-};
-
-/// Convenience forwarding to Workspace::local().
-void acquire(std::vector<double>& out, std::size_t n);
-void release(std::vector<double>& buf);
-
-/// Snapshot / reset of the process-wide stats (bench + tests).
+/// Snapshot / reset of the count (exact under a quiescent reader, which is
+/// all the tests and benches need).
 Stats stats();
 void reset_stats();
 

@@ -213,14 +213,6 @@ TEST_F(CharacterizeFixture, IvSurfaceConductanceIsStabilizing) {
   EXPECT_LT(iv.d_dy(kTech.vdd, 0.2), 0.0);
 }
 
-TEST_F(CharacterizeFixture, TheveninDriverBehaves) {
-  TheveninDriver d(SourceWave::dc(3.0), 1000.0);
-  EXPECT_DOUBLE_EQ(d.current(0.0, 0.0), 3e-3);
-  EXPECT_DOUBLE_EQ(d.current(3.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(d.conductance(1.0, 0.0), -1e-3);
-  EXPECT_THROW(TheveninDriver(SourceWave::dc(0.0), -1.0), std::runtime_error);
-}
-
 TEST_F(CharacterizeFixture, NonlinearDriverTracksInputWave) {
   auto model = std::make_shared<CellModel>(*inv1_);
   NonlinearTableDriver drv(model, SourceWave::ramp(0.0, kTech.vdd, 1e-9, 1e-9));

@@ -366,9 +366,9 @@ TEST(ReducedSim, DcFixedPointWithClamp) {
 }
 
 TEST(ReducedSim, NewtonLoopMakesNoWorkspaceAcquires) {
-  // The Woodbury solve runs on reused scratch: a nonlinear run's arena
-  // traffic must not grow with the step count (one m x m matrix per
-  // Newton iteration would make 2 * tstop cost twice the acquires).
+  // The Woodbury solve runs on reused scratch: a nonlinear run's
+  // DenseMatrix allocations must not grow with the step count (one m x m
+  // matrix per Newton iteration would make 2 * tstop cost twice as many).
   RcNetwork net = make_coupled_pair(6);
   ReducedSimulator sim(sympvl_reduce(net));
   sim.set_input(0, SourceWave::ramp(0.0, 3e-2, 0.1e-9, 0.1e-9));
