@@ -63,6 +63,7 @@
 #include <memory>
 
 #include "chipgen/dsp_chip.h"
+#include "core/option_table.h"
 #include "core/verifier.h"
 #include "flags.h"
 #include "serve/job.h"
@@ -80,22 +81,9 @@ int main(int argc, char** argv) {
 
   DspChipOptions chip_options;
   chip_options.net_count = 800;
-  VerifierOptions options;
-  options.glitch_threshold = 0.10;          // flag peaks above 10% of Vdd
-  options.glitch.align_aggressors = true;   // worst-case alignment search
-  options.glitch.tstop = 4e-9;
-  options.model_cache_mb = 64.0;            // repeated clusters reuse models
+  VerifierOptions options = audit_default_options();
 
-  // Cell characterization cache: default next to the binary (not the
-  // CWD), so every invocation of the same build shares one cache no
-  // matter where it is launched from.
-  std::string cell_cache = "xtv_cells.cache";
-  {
-    std::string self = argv[0] ? argv[0] : "";
-    const std::size_t slash = self.rfind('/');
-    if (slash != std::string::npos)
-      cell_cache = self.substr(0, slash + 1) + cell_cache;
-  }
+  std::string cell_cache = flags::default_cell_cache(argv[0]);
 
   int fail_on_severity = INT_MAX;  // --fail-on CI gate; INT_MAX = disabled
   serve::RemoteExecOptions remote_options;  // --workers remote fan-out
@@ -103,105 +91,48 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     seen.check(arg);
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    auto value = [&] { return flags::value(argc, argv, &i); };
     if (std::strcmp(arg, "--threads") == 0) {
-      options.threads = flags::parse_size(arg, value(arg), 1,
-                                          "an integer >= 1");
+      options.threads = flags::parse_size(arg, value(), 1, "an integer >= 1");
     } else if (std::strcmp(arg, "--processes") == 0) {
       // 0 is the library default (in-process path), but asking for zero
       // worker processes explicitly is a contradiction, not a request.
-      options.processes = flags::parse_size(arg, value(arg), 1,
-                                            "an integer >= 1");
+      options.processes =
+          flags::parse_size(arg, value(), 1, "an integer >= 1");
     } else if (std::strcmp(arg, "--shard-heartbeat-ms") == 0) {
-      const char* v = value(arg);
-      options.shard_heartbeat_ms =
-          flags::parse_double(arg, v, 0.0, 1e9, "a period > 0 ms");
-      if (options.shard_heartbeat_ms <= 0.0)
-        flags::usage_error(arg, v, "a period > 0 ms");
-    } else if (std::strcmp(arg, "--cluster-deadline-ms") == 0) {
-      options.cluster_deadline_ms =
-          flags::parse_double(arg, value(arg), 0.0, 1e12,
-                              "a budget >= 0 ms");
-    } else if (std::strcmp(arg, "--cluster-mem-mb") == 0) {
-      options.cluster_mem_mb = flags::parse_double(
-          arg, value(arg), 0.0, 1e9, "a size >= 0 MiB");
-    } else if (std::strcmp(arg, "--global-mem-soft-mb") == 0) {
-      options.global_mem_soft_mb = flags::parse_double(
-          arg, value(arg), 0.0, 1e9, "a size >= 0 MiB");
+      options.shard_heartbeat_ms = flags::parse_double(
+          arg, value(), {0.0, 1e9, true}, "a period > 0 ms");
     } else if (std::strcmp(arg, "--journal") == 0) {
-      options.journal_path = value(arg);
+      options.journal_path = value();
     } else if (std::strcmp(arg, "--resume") == 0) {
       options.resume = true;
-    } else if (std::strcmp(arg, "--model-cache-mb") == 0) {
-      options.model_cache_mb = flags::parse_double(
-          arg, value(arg), 0.0, 1e9, "a size >= 0 MiB");
     } else if (std::strcmp(arg, "--no-model-cache") == 0) {
       options.model_cache_mb = 0.0;
-    } else if (std::strcmp(arg, "--canonical-cache") == 0) {
-      options.canonical_cache = true;
-    } else if (std::strcmp(arg, "--canonical-cache-tol") == 0) {
-      const char* v = value(arg);
-      options.canonical_cache_tol =
-          flags::parse_double(arg, v, 0.0, 1.0, "a relative tolerance in (0,1]");
-      if (options.canonical_cache_tol <= 0.0)
-        flags::usage_error(arg, v, "a relative tolerance in (0,1]");
     } else if (std::strcmp(arg, "--cell-cache") == 0) {
-      cell_cache = value(arg);
+      cell_cache = value();
     } else if (std::strcmp(arg, "--replicate-rows") == 0) {
       chip_options.replicate_rows =
-          flags::parse_size(arg, value(arg), 1, "an integer >= 1");
+          flags::parse_size(arg, value(), 1, "an integer >= 1");
     } else if (std::strcmp(arg, "--cluster-repeat-skew") == 0) {
       chip_options.cluster_repeat_skew = flags::parse_double(
-          arg, value(arg), 0.0, 1.0, "a relative skew in [0,1)");
-    } else if (std::strcmp(arg, "--mor-order") == 0) {
-      options.glitch.mor.max_order = flags::parse_size(
-          arg, value(arg), 0, "an integer (0 = automatic)");
-    } else if (std::strcmp(arg, "--certify") == 0) {
-      options.certify = true;
-    } else if (std::strcmp(arg, "--cert-tol") == 0) {
-      const char* v = value(arg);
-      options.cert_rel_tol =
-          flags::parse_double(arg, v, 0.0, 1.0, "a tolerance in (0,1]");
-      if (options.cert_rel_tol <= 0.0)
-        flags::usage_error(arg, v, "a tolerance in (0,1]");
-    } else if (std::strcmp(arg, "--cert-freqs") == 0) {
-      options.cert_freqs =
-          flags::parse_size(arg, value(arg), 1, "an integer >= 1");
-    } else if (std::strcmp(arg, "--max-mor-order") == 0) {
-      options.max_mor_order =
-          flags::parse_size(arg, value(arg), 1, "an integer >= 1");
-    } else if (std::strcmp(arg, "--audit-fraction") == 0) {
-      options.audit_fraction = flags::parse_double(
-          arg, value(arg), 0.0, 1.0, "a fraction in [0,1]");
-    } else if (std::strcmp(arg, "--audit-peak-tol") == 0) {
-      options.audit_peak_tol_frac = flags::parse_double(
-          arg, value(arg), 0.0, 1.0, "a fraction in [0,1]");
+          arg, value(), {0.0, 1.0}, "a relative skew in [0,1]");
     } else if (std::strcmp(arg, "--workers") == 0) {
-      std::istringstream list(value(arg));
+      std::istringstream list(value());
       for (std::string ep; std::getline(list, ep, ',');)
         if (!ep.empty()) remote_options.workers.push_back(ep);
       if (remote_options.workers.empty())
         flags::usage_error(arg, "", "a host:port list");
     } else if (std::strcmp(arg, "--worker-heartbeat-ms") == 0) {
-      const char* v = value(arg);
-      remote_options.heartbeat_ms =
-          flags::parse_double(arg, v, 0.0, 1e9, "a period > 0 ms");
-      if (remote_options.heartbeat_ms <= 0.0)
-        flags::usage_error(arg, v, "a period > 0 ms");
+      remote_options.heartbeat_ms = flags::parse_double(
+          arg, value(), {0.0, 1e9, true}, "a period > 0 ms");
     } else if (std::strcmp(arg, "--unit-victims") == 0) {
       remote_options.unit_victims =
-          flags::parse_size(arg, value(arg), 1, "an integer >= 1");
+          flags::parse_size(arg, value(), 1, "an integer >= 1");
     } else if (std::strcmp(arg, "--max-unit-attempts") == 0) {
       remote_options.max_unit_attempts =
-          flags::parse_size(arg, value(arg), 1, "an integer >= 1");
+          flags::parse_size(arg, value(), 1, "an integer >= 1");
     } else if (std::strcmp(arg, "--fail-on") == 0) {
-      std::istringstream list(value(arg));
+      std::istringstream list(value());
       for (std::string name; std::getline(list, name, ',');) {
         if (name.empty()) continue;
         FindingStatus s;
@@ -214,6 +145,10 @@ int main(int argc, char** argv) {
         fail_on_severity = std::min(fail_on_severity,
                                     finding_status_severity(s));
       }
+    } else if (const OptionRow* row = option_by_flag(arg)) {
+      // A bool row's flag is a switch; every other row's takes a value.
+      const char* v = row->type == OptionRow::Type::kBool ? "1" : value();
+      if (!set_option(*row, v, &options)) flags::usage_error(arg, v, row->want);
     } else if (arg[0] != '-') {
       chip_options.net_count =
           flags::parse_size("net_count", arg, 1, "an integer >= 1");
@@ -243,9 +178,7 @@ int main(int argc, char** argv) {
   if (!remote_options.workers.empty()) {
     serve::JobSpec spec;
     spec.options = options;
-    spec.design_nets = chip_options.net_count;
-    if (chip_options.replicate_rows > 1)
-      spec.design_rows = chip_options.replicate_rows;
+    spec.set_chip_options(chip_options);
     serve::JobSpec echo;
     std::string perr;
     if (!serve::JobSpec::parse(spec.to_text(), &echo, &perr)) {

@@ -1,19 +1,20 @@
-// Typed command-line value parsing shared by the example CLIs.
+// Command-line parsing shared by the example CLIs.
 //
 // The atoi/atof idiom silently maps garbage to 0 — "--processes 0x2"
 // became a serial run and "--audit-fraction 1.5" an out-of-range lottery.
-// These helpers parse the FULL token and range-check it, exiting with the
-// usage-error code (2) and a "usage error:" prefix on anything else, so a
-// typo'd flag fails loudly instead of quietly changing the run.
+// These helpers read the FULL token through the strict parser of
+// util/parse.h and range-check it, exiting with the usage-error code (2)
+// and a "usage error:" prefix on anything else, so a typo'd flag fails
+// loudly instead of quietly changing the run.
 #pragma once
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
+
+#include "util/parse.h"
 
 namespace xtv {
 namespace flags {
@@ -23,6 +24,26 @@ namespace flags {
   std::fprintf(stderr, "usage error: %s expects %s, got \"%s\"\n", flag,
                want, value);
   std::exit(2);
+}
+
+/// The value after the flag at argv[*i], advancing *i past it; a flag
+/// with no value is a usage error.
+inline const char* value(int argc, char** argv, int* i) {
+  if (*i + 1 >= argc) {
+    std::fprintf(stderr, "usage error: %s requires a value\n", argv[*i]);
+    std::exit(2);
+  }
+  return argv[++*i];
+}
+
+/// The default cell characterization cache: xtv_cells.cache next to the
+/// binary, not in the CWD, so every invocation of one build (a fleet of
+/// workers too) shares one warm cache wherever it is launched from.
+inline std::string default_cell_cache(const char* argv0) {
+  const std::string self = argv0 ? argv0 : "";
+  const std::size_t slash = self.rfind('/');
+  return (slash == std::string::npos ? "" : self.substr(0, slash + 1)) +
+         "xtv_cells.cache";
 }
 
 /// Rejects repeated flags: "--threads 2 --threads 8" is almost always a
@@ -42,49 +63,31 @@ class SeenFlags {
   std::set<std::string> seen_;
 };
 
-/// Whole-token strtod; rejects trailing junk and empty values.
-inline double parse_double(const char* flag, const char* value,
-                           double min_incl =
-                               -std::numeric_limits<double>::infinity(),
-                           double max_incl =
-                               std::numeric_limits<double>::infinity(),
-                           const char* want = "a number") {
-  if (!value || !*value) usage_error(flag, value ? value : "", want);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (errno != 0 || end != value + std::strlen(value) || v != v)
-    usage_error(flag, value, want);
-  if (v < min_incl || v > max_incl) usage_error(flag, value, want);
+/// Whole-token finite double inside `range`.
+inline double parse_double(const char* flag, const char* value, Range range,
+                           const char* want) {
+  double v = 0.0;
+  if (!parse_finite(value, &v, range)) usage_error(flag, value, want);
   return v;
 }
 
-/// Whole-token base-10 size parse with an inclusive floor (use 1 for
-/// flags where 0 is meaningless, e.g. --processes).
+/// Whole-token base-10 size with an inclusive floor (use 1 for flags
+/// where 0 is meaningless, e.g. --processes); a sign is rejected.
 inline std::size_t parse_size(const char* flag, const char* value,
                               std::size_t min_incl = 0,
                               const char* want = "a non-negative integer") {
-  if (!value || !*value) usage_error(flag, value ? value : "", want);
-  // strtoull wraps negatives around; reject the sign explicitly.
-  if (value[0] == '-' || value[0] == '+') usage_error(flag, value, want);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (errno != 0 || end != value + std::strlen(value))
+  std::uint64_t v = 0;
+  if (!parse_unsigned(value, &v) || v < min_incl)
     usage_error(flag, value, want);
-  if (v < min_incl) usage_error(flag, value, want);
-  return static_cast<std::size_t>(v);
+  return v;
 }
 
-/// Whole-token signed integer parse.
+/// Whole-token signed integer with an inclusive floor.
 inline long parse_long(const char* flag, const char* value,
                        long min_incl = std::numeric_limits<long>::min(),
                        const char* want = "an integer") {
-  if (!value || !*value) usage_error(flag, value ? value : "", want);
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(value, &end, 10);
-  if (errno != 0 || end != value + std::strlen(value) || v < min_incl)
+  long v = 0;
+  if (!parse_signed(value, &v) || v < min_incl)
     usage_error(flag, value, want);
   return v;
 }

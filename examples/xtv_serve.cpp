@@ -68,13 +68,7 @@ int run_daemon(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     seen.check(arg);
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "usage error: %s requires a value\n", arg);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    auto value = [&] { return flags::value(argc, argv, &i); };
     if (std::strcmp(arg, "--socket") == 0) {
       opt.socket_path = value();
     } else if (std::strcmp(arg, "--jobs-dir") == 0) {
@@ -105,53 +99,44 @@ int run_daemon(int argc, char** argv) {
           flags::parse_long(arg, value(), 0, "an integer >= 0");
     } else if (std::strcmp(arg, "--deadline-ms") == 0) {
       opt.default_deadline_ms =
-          flags::parse_double(arg, value(), 0.0, 1e12, "a value >= 0 ms");
+          flags::parse_double(arg, value(), {0.0, 1e12}, "a value >= 0 ms");
     } else if (std::strcmp(arg, "--grace-ms") == 0) {
       opt.runner_grace_ms =
-          flags::parse_double(arg, value(), 0.0, 1e12, "a value >= 0 ms");
+          flags::parse_double(arg, value(), {0.0, 1e12}, "a value >= 0 ms");
     } else if (std::strcmp(arg, "--backoff-base-ms") == 0) {
-      const char* v = value();
-      opt.backoff.base_ms =
-          flags::parse_double(arg, v, 0.0, 1e9, "a period > 0 ms");
-      if (opt.backoff.base_ms <= 0.0)
-        flags::usage_error(arg, v, "a period > 0 ms");
+      opt.backoff.base_ms = flags::parse_double(
+          arg, value(), {0.0, 1e9, true}, "a period > 0 ms");
     } else if (std::strcmp(arg, "--backoff-max-ms") == 0) {
-      const char* v = value();
-      opt.backoff.max_ms =
-          flags::parse_double(arg, v, 0.0, 1e9, "a period > 0 ms");
-      if (opt.backoff.max_ms <= 0.0)
-        flags::usage_error(arg, v, "a period > 0 ms");
+      opt.backoff.max_ms = flags::parse_double(
+          arg, value(), {0.0, 1e9, true}, "a period > 0 ms");
     } else if (std::strcmp(arg, "--global-mem-soft-mb") == 0) {
       opt.global_mem_soft_mb =
-          flags::parse_double(arg, value(), 0.0, 1e9, "a size >= 0 MiB");
+          flags::parse_double(arg, value(), {0.0, 1e9}, "a size >= 0 MiB");
     } else if (std::strcmp(arg, "--max-job-nets") == 0) {
       opt.max_job_nets =
           flags::parse_size(arg, value(), 0, "an integer >= 0 (0 = off)");
     } else if (std::strcmp(arg, "--age-promote-ms") == 0) {
       opt.age_promote_ms =
-          flags::parse_double(arg, value(), 0.0, 1e12, "a value >= 0 ms");
+          flags::parse_double(arg, value(), {0.0, 1e12}, "a value >= 0 ms");
     } else if (std::strcmp(arg, "--max-connections") == 0) {
       opt.max_connections =
           flags::parse_size(arg, value(), 1, "an integer >= 1");
     } else if (std::strcmp(arg, "--io-timeout-ms") == 0) {
       opt.io_timeout_ms =
-          flags::parse_double(arg, value(), 0.0, 1e12, "a value >= 0 ms");
+          flags::parse_double(arg, value(), {0.0, 1e12}, "a value >= 0 ms");
     } else if (std::strcmp(arg, "--keepalive-ms") == 0) {
       opt.keepalive_ms =
-          flags::parse_double(arg, value(), 0.0, 1e12, "a value >= 0 ms");
+          flags::parse_double(arg, value(), {0.0, 1e12}, "a value >= 0 ms");
     } else if (std::strcmp(arg, "--drain-timeout-ms") == 0) {
       opt.drain_timeout_ms =
-          flags::parse_double(arg, value(), 0.0, 1e12, "a value >= 0 ms");
+          flags::parse_double(arg, value(), {0.0, 1e12}, "a value >= 0 ms");
     } else if (std::strcmp(arg, "--workers") == 0) {
       std::istringstream list(value());
       for (std::string ep; std::getline(list, ep, ',');)
         if (!ep.empty()) opt.workers.push_back(ep);
     } else if (std::strcmp(arg, "--worker-heartbeat-ms") == 0) {
-      const char* v = value();
-      opt.worker_heartbeat_ms =
-          flags::parse_double(arg, v, 0.0, 1e9, "a period > 0 ms");
-      if (opt.worker_heartbeat_ms <= 0.0)
-        flags::usage_error(arg, v, "a period > 0 ms");
+      opt.worker_heartbeat_ms = flags::parse_double(
+          arg, value(), {0.0, 1e9, true}, "a period > 0 ms");
     } else if (std::strcmp(arg, "--unit-victims") == 0) {
       opt.unit_victims = flags::parse_size(arg, value(), 1,
                                            "an integer >= 1");
@@ -183,9 +168,8 @@ int run_submit(int argc, char** argv) {
     if (std::strcmp(arg, "--socket") == 0 && i + 1 < argc) {
       socket_path = argv[++i];
     } else if (std::strcmp(arg, "--timeout-ms") == 0 && i + 1 < argc) {
-      const char* v = argv[++i];
-      timeout_ms = flags::parse_double(arg, v, 0.0, 1e12, "a value > 0 ms");
-      if (timeout_ms <= 0.0) flags::usage_error(arg, v, "a value > 0 ms");
+      timeout_ms = flags::parse_double(arg, argv[++i], {0.0, 1e12, true},
+                                       "a value > 0 ms");
     } else if (std::strchr(arg, '=') != nullptr) {
       if (!spec_text.empty()) spec_text += ' ';
       spec_text += arg;
@@ -247,7 +231,7 @@ int run_query(int argc, char** argv) {
     if (std::strcmp(arg, "--socket") == 0 && i + 1 < argc) {
       socket_path = argv[++i];
     } else if (std::strcmp(arg, "--timeout-ms") == 0 && i + 1 < argc) {
-      timeout_ms = flags::parse_double(arg, argv[++i], 1.0, 1e12,
+      timeout_ms = flags::parse_double(arg, argv[++i], {1.0, 1e12},
                                        "a value >= 1 ms");
     } else if (arg[0] != '-') {
       key_hex = arg;

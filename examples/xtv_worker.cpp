@@ -23,41 +23,31 @@
 
 #include "flags.h"
 #include "serve/remote.h"
+#include "util/log.h"
 
 using namespace xtv;
 
 int main(int argc, char** argv) {
+  // Like the daemon's, a worker's lifecycle lines ("listening on ...",
+  // "job accepted ...") are its user interface: scripts wait on them.
+  set_log_level(LogLevel::kInfo);
   serve::WorkerOptions options;
 
-  // Same default cell-cache policy as chip_audit: next to the binary, so
-  // a fleet launched from one build directory shares one warm cache.
-  options.cell_cache = "xtv_cells.cache";
-  {
-    std::string self = argv[0] ? argv[0] : "";
-    const std::size_t slash = self.rfind('/');
-    if (slash != std::string::npos)
-      options.cell_cache = self.substr(0, slash + 1) + options.cell_cache;
-  }
+  options.cell_cache = flags::default_cell_cache(argv[0]);
 
   flags::SeenFlags seen;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     seen.check(arg);
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    auto value = [&] { return flags::value(argc, argv, &i); };
     if (std::strcmp(arg, "--listen") == 0) {
-      options.listen = value(arg);
+      options.listen = value();
     } else if (std::strcmp(arg, "--endpoint-file") == 0) {
-      options.endpoint_file = value(arg);
+      options.endpoint_file = value();
     } else if (std::strcmp(arg, "--cell-cache") == 0) {
-      options.cell_cache = value(arg);
+      options.cell_cache = value();
     } else if (std::strcmp(arg, "--max-coordinators") == 0) {
-      options.max_coordinators = flags::parse_size(arg, value(arg));
+      options.max_coordinators = flags::parse_size(arg, value());
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg);
       return 2;

@@ -4,13 +4,13 @@
 
 #include <cinttypes>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
 #include <fstream>
 #include <sstream>
 
 #include "util/log.h"
+#include "util/parse.h"
 #include "util/status.h"
 
 namespace xtv {
@@ -32,15 +32,6 @@ std::uint64_t fnv1a64(const std::string& s) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-bool parse_size(const std::string& s, std::size_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  out = static_cast<std::size_t>(v);
-  return true;
 }
 
 /// One checksummed journal line for `record` (newline included).
@@ -94,11 +85,10 @@ bool unescape_token(const std::string& s, std::string* out) {
   if (s == "-") return true;
   for (std::size_t i = 0; i < s.size(); ++i) {
     if (s[i] == '%') {
-      if (i + 2 >= s.size()) return false;
-      char* end = nullptr;
-      const char hex[3] = {s[i + 1], s[i + 2], '\0'};
-      const long v = std::strtol(hex, &end, 16);
-      if (end != hex + 2) return false;
+      std::uint64_t v = 0;
+      if (i + 2 >= s.size() ||
+          !parse_unsigned(std::string_view(s).substr(i + 1, 2), &v, 16))
+        return false;
       *out += static_cast<char>(v);
       i += 2;
     } else {
@@ -106,19 +96,6 @@ bool unescape_token(const std::string& s, std::string* out) {
     }
   }
   return true;
-}
-
-std::string format_hexfloat(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-bool parse_double_token(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
 }
 
 std::string journal_insurance_path(const std::string& base) {
@@ -156,33 +133,34 @@ bool journal_decode(const std::string& payload, JournalRecord& record) {
   VictimFinding f;
   std::size_t screened = 0, status = 0, code = 0, violation = 0, em = 0;
   std::size_t certified = 0, audited = 0, audit_pass = 0;
-  if (!parse_size(tok[0], screened) || screened > 1) return false;
-  if (!parse_size(tok[1], f.net)) return false;
-  if (!parse_size(tok[2], status) ||
+  if (!parse_unsigned(tok[0], &screened) || screened > 1) return false;
+  if (!parse_unsigned(tok[1], &f.net)) return false;
+  if (!parse_unsigned(tok[2], &status) ||
       status > static_cast<std::size_t>(FindingStatus::kShardCrashed))
     return false;
-  if (!parse_size(tok[3], f.retries)) return false;
-  if (!parse_size(tok[4], code) ||
+  if (!parse_unsigned(tok[3], &f.retries)) return false;
+  if (!parse_unsigned(tok[4], &code) ||
       code > static_cast<std::size_t>(StatusCode::kWorkerCrashed))
     return false;
   if (!unescape_token(tok[5], &f.error)) return false;
   if (!parse_double_token(tok[6], &f.peak)) return false;
   if (!parse_double_token(tok[7], &f.peak_fraction)) return false;
-  if (!parse_size(tok[8], violation) || violation > 1) return false;
-  if (!parse_size(tok[9], f.aggressors_analyzed)) return false;
-  if (!parse_size(tok[10], f.aggressors_dropped_by_correlation)) return false;
-  if (!parse_size(tok[11], f.aggressors_dropped_by_window)) return false;
+  if (!parse_unsigned(tok[8], &violation) || violation > 1) return false;
+  if (!parse_unsigned(tok[9], &f.aggressors_analyzed)) return false;
+  if (!parse_unsigned(tok[10], &f.aggressors_dropped_by_correlation))
+    return false;
+  if (!parse_unsigned(tok[11], &f.aggressors_dropped_by_window)) return false;
   if (!parse_double_token(tok[12], &f.cpu_seconds)) return false;
-  if (!parse_size(tok[13], f.reduced_order)) return false;
+  if (!parse_unsigned(tok[13], &f.reduced_order)) return false;
   if (!parse_double_token(tok[14], &f.delay_decoupled)) return false;
   if (!parse_double_token(tok[15], &f.delay_coupled)) return false;
   if (!parse_double_token(tok[16], &f.driver_rms_current)) return false;
-  if (!parse_size(tok[17], em) || em > 1) return false;
-  if (!parse_size(tok[18], certified) || certified > 1) return false;
+  if (!parse_unsigned(tok[17], &em) || em > 1) return false;
+  if (!parse_unsigned(tok[18], &certified) || certified > 1) return false;
   if (!parse_double_token(tok[19], &f.cert_max_rel_err)) return false;
-  if (!parse_size(tok[20], f.cert_order_escalations)) return false;
-  if (!parse_size(tok[21], audited) || audited > 1) return false;
-  if (!parse_size(tok[22], audit_pass) || audit_pass > 1) return false;
+  if (!parse_unsigned(tok[20], &f.cert_order_escalations)) return false;
+  if (!parse_unsigned(tok[21], &audited) || audited > 1) return false;
+  if (!parse_unsigned(tok[22], &audit_pass) || audit_pass > 1) return false;
   if (!parse_double_token(tok[23], &f.audit_peak_err)) return false;
   if (!parse_double_token(tok[24], &f.audit_time_err)) return false;
 
@@ -224,12 +202,9 @@ ResultJournal::LoadResult ResultJournal::load(const std::string& path) {
       // Optional header: "xtvjh <16-hex options hash>".
       if (line.compare(0, magic_len, kHeaderMagic) == 0 &&
           line.size() > magic_len + 1 && line[magic_len] == ' ') {
-        const std::string hash_text = line.substr(magic_len + 1);
-        char* end = nullptr;
-        const std::uint64_t hash =
-            std::strtoull(hash_text.c_str(), &end, 16);
-        if (hash_text.empty() ||
-            end != hash_text.c_str() + hash_text.size())
+        std::uint64_t hash = 0;
+        if (!parse_unsigned(std::string_view(line).substr(magic_len + 1),
+                            &hash, 16))
           break;
         result.has_header = true;
         result.header_hash = hash;
@@ -247,13 +222,11 @@ ResultJournal::LoadResult ResultJournal::load(const std::string& path) {
     if (checksum_at == std::string::npos || checksum_at <= magic_len) break;
     const std::string payload =
         line.substr(magic_len + 1, checksum_at - magic_len - 1);
-    char* end = nullptr;
-    const std::string checksum_text = line.substr(checksum_at + 1);
-    const std::uint64_t checksum =
-        std::strtoull(checksum_text.c_str(), &end, 16);
-    if (checksum_text.empty() || end != checksum_text.c_str() + checksum_text.size())
+    std::uint64_t checksum = 0;
+    if (!parse_unsigned(std::string_view(line).substr(checksum_at + 1),
+                        &checksum, 16) ||
+        checksum != fnv1a64(payload))
       break;
-    if (checksum != fnv1a64(payload)) break;
     JournalRecord record;
     if (!journal_decode(payload, record)) break;
     result.records.push_back(std::move(record));

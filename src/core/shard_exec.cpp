@@ -23,6 +23,7 @@
 
 #include "util/fault_injection.h"
 #include "util/log.h"
+#include "util/parse.h"
 #include "util/subprocess.h"
 
 namespace xtv {
@@ -45,27 +46,10 @@ std::string hash_hex(std::uint64_t h) {
   return buf;
 }
 
-bool parse_u64(const std::string& tok, std::uint64_t* out, int base = 10) {
-  if (tok.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, base);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_size(const std::string& tok, std::size_t* out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(tok, &v)) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
   std::size_t out = 0;
-  return v != nullptr && parse_size(v, &out) ? out : fallback;
+  return v != nullptr && parse_unsigned(v, &out) ? out : fallback;
 }
 
 /// Writes one frame to a holder socket. MSG_NOSIGNAL: a holder that died
@@ -110,7 +94,7 @@ struct CrashHook {
   static CrashHook from_env() {
     CrashHook h;
     const char* v = std::getenv("XTV_TEST_CRASH_VICTIM");
-    if (!v || !parse_size(v, &h.victim)) return h;
+    if (!v || !parse_unsigned(v, &h.victim)) return h;
     h.armed = true;
     if (const char* m = std::getenv("XTV_TEST_CRASH_MODE")) {
       if (std::strcmp(m, "segv") == 0) h.mode = kSegv;
@@ -493,7 +477,7 @@ class Coordinator {
         std::string hex, pid;
         in >> hex >> pid;
         std::uint64_t theirs = 0;
-        if (!parse_u64(hex, &theirs, 16) || theirs != opt_.options_hash) {
+        if (!parse_unsigned(hex, &theirs, 16) || theirs != opt_.options_hash) {
           // A TCP worker validates first, so this means a broken holder.
           lose(h, "ready-frame hash mismatch");
           return;
@@ -517,7 +501,8 @@ class Coordinator {
         std::string ustr, astr, tag;
         in >> ustr >> astr >> tag;
         std::size_t unit = 0, attempt = 0;
-        if (!parse_size(ustr, &unit) || !parse_size(astr, &attempt)) return;
+        if (!parse_unsigned(ustr, &unit) || !parse_unsigned(astr, &attempt))
+          return;
         if (tag == "r") {
           std::string payload;
           std::getline(in, payload);
@@ -538,7 +523,8 @@ class Coordinator {
           std::size_t victim = 0;
           // kAccepted: ineligible victim — settled with no record, the
           // exact in-process semantics of a skipped victim.
-          if (parse_size(vstr, &victim)) lease_.result(unit, attempt, victim);
+          if (parse_unsigned(vstr, &victim))
+            lease_.result(unit, attempt, victim);
         }
         return;
       }
@@ -546,7 +532,8 @@ class Coordinator {
         std::string ustr, astr;
         in >> ustr >> astr;
         std::size_t unit = 0, attempt = 0;
-        if (!parse_size(ustr, &unit) || !parse_size(astr, &attempt)) return;
+        if (!parse_unsigned(ustr, &unit) || !parse_unsigned(astr, &attempt))
+          return;
         lease_.complete(unit, attempt, mono_ms());
         if (h.unit == unit && h.attempt == attempt) h.unit = kNoUnit;
         return;
@@ -629,7 +616,8 @@ void serve_units(
       std::string ustr, astr;
       in >> ustr >> astr;
       std::size_t unit = 0, attempt = 0;
-      if (!parse_size(ustr, &unit) || !parse_size(astr, &attempt)) continue;
+      if (!parse_unsigned(ustr, &unit) || !parse_unsigned(astr, &attempt))
+        continue;
       if (unit == crash_unit) {
         logf(LogLevel::kWarn, "holder: TEST crash on unit %zu", unit);
         ::_exit(42);
@@ -646,7 +634,7 @@ void serve_units(
       std::size_t streamed = 0;
       for (std::string vstr; in >> vstr;) {
         std::size_t victim = 0;
-        if (!parse_size(vstr, &victim)) continue;
+        if (!parse_unsigned(vstr, &victim)) continue;
         crash.maybe_crash(victim);
         std::optional<JournalRecord> rec;
         try {

@@ -6,7 +6,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,82 +23,6 @@
 #include "util/timer.h"
 
 namespace xtv {
-
-namespace {
-
-/// FNV-1a accumulator for options hashing. Doubles hash by bit pattern:
-/// two option sets are "the same" exactly when every field is bit-equal,
-/// which is also the precondition for bit-identical findings.
-struct OptionsHasher {
-  std::uint64_t h = 1469598103934665603ull;
-  void bytes(const void* p, std::size_t n) {
-    const auto* c = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= c[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    bytes(&bits, sizeof(bits));
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-};
-
-}  // namespace
-
-std::uint64_t options_result_hash(const VerifierOptions& o) {
-  OptionsHasher h;
-  h.f64(o.prune.ratio_threshold);
-  h.f64(o.prune.abs_floor);
-  h.u64(o.prune.max_aggressors);
-  h.u64(o.prune.use_driver_strength ? 1 : 0);
-  h.u64(static_cast<std::uint64_t>(o.glitch.driver_model));
-  h.f64(o.glitch.fixed_resistance);
-  h.f64(o.glitch.tstop);
-  h.f64(o.glitch.dt);
-  h.u64(o.glitch.mor.max_order);
-  h.f64(o.glitch.mor.deflation_tol);
-  h.u64(o.glitch.align_aggressors ? 1 : 0);
-  h.u64(o.glitch.spice_exploit_linearity ? 1 : 0);
-  h.f64(o.glitch.default_switch_time);
-  h.f64(o.glitch_threshold);
-  h.u64(o.latch_inputs_only ? 1 : 0);
-  h.u64(0);  // the deleted max_victims' default: older hashes stay valid
-  h.u64(o.analyze_delay_change ? 1 : 0);
-  h.u64(o.use_noise_screen ? 1 : 0);
-  h.f64(o.em_rms_limit);
-  // Budgets affect results (they decide which findings become bounds);
-  // threads/journal_path/resume affect only scheduling and are excluded.
-  h.f64(o.cluster_deadline_ms);
-  // The model cache reuses bit-identical payloads, but a cache hit skips
-  // the Krylov-stage memory charges, so under a cluster memory budget the
-  // cache on/off decision can steer a finding between kAnalyzed and
-  // kResourceBound — result-affecting, hence hashed.
-  h.f64(o.model_cache_mb);
-  h.f64(o.cluster_mem_mb);
-  h.f64(o.global_mem_soft_mb);
-  // Certification and audit knobs all steer statuses, escalations, or the
-  // audit fields of findings.
-  h.u64(o.certify ? 1 : 0);
-  h.f64(o.cert_rel_tol);
-  h.u64(o.cert_freqs);
-  h.u64(o.max_mor_order);
-  h.u64(o.mor_order_step);
-  h.f64(o.audit_fraction);
-  h.u64(o.audit_seed);
-  h.f64(o.audit_peak_tol_frac);
-  h.f64(o.audit_time_tol);
-  // Canonical caching changes which payload serves a victim (certified-
-  // equivalent, not bit-identical), so both knobs are result-affecting.
-  // Appended at the end to keep the field order stable for older fields.
-  h.u64(o.canonical_cache ? 1 : 0);
-  h.f64(o.canonical_cache_tol);
-  // The reduced transient's step tolerance moves every peak it computes.
-  h.f64(o.glitch.lte_vtol);
-  return h.h;
-}
 
 bool parse_finding_status(const std::string& name, FindingStatus* out) {
   static constexpr struct {

@@ -202,10 +202,11 @@ struct VerifierOptions {
   double audit_time_tol = 5e-11;
 };
 
-/// FNV-1a hash over the result-affecting fields of `options` (pruning,
-/// analysis, thresholds, budgets — NOT threads/journal_path/resume, which
-/// change scheduling but never a finding). Stamped into the journal
-/// header; resume refuses a journal written under a different hash.
+/// FNV-1a hash over the result-affecting fields of `options`: the rows of
+/// core/option_table.h, in table order (pruning, analysis, thresholds,
+/// budgets — NOT threads/journal_path/resume, which change scheduling but
+/// never a finding). Stamped into the journal header; resume refuses a
+/// journal written under a different hash.
 std::uint64_t options_result_hash(const VerifierOptions& options);
 
 /// How a victim's reported numbers were obtained. Production runs must

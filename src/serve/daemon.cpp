@@ -134,14 +134,11 @@ std::string daemon_pid_path(const std::string& jobs_dir) {
   return jobs_dir + "/daemon.pid";
 }
 
-/// Chipgen parameters for a spec carrying its own design reference.
-/// 0-valued rows/seed keep the generator defaults, so `nets=N` alone
-/// names the same chip a daemon booted with `--nets N` would serve.
-DspChipOptions chip_options_for(const JobSpec& spec) {
+/// Chipgen parameters of the daemon's resident design.
+DspChipOptions resident_chip(const DaemonOptions& opt) {
   DspChipOptions chip;
-  chip.net_count = spec.design_nets;
-  if (spec.design_rows != 0) chip.replicate_rows = spec.design_rows;
-  if (spec.design_seed != 0) chip.seed = spec.design_seed;
+  chip.net_count = opt.net_count;
+  chip.replicate_rows = opt.replicate_rows;
   return chip;
 }
 
@@ -182,10 +179,7 @@ ServeDaemon::~ServeDaemon() {
 void ServeDaemon::build_design() {
   ::mkdir(opt_.jobs_dir.c_str(), 0755);  // EEXIST is fine
   if (!opt_.cell_cache.empty()) chars_.load(opt_.cell_cache);
-  DspChipOptions chip;
-  chip.net_count = opt_.net_count;
-  chip.replicate_rows = opt_.replicate_rows;
-  design_ = generate_dsp_chip(library_, chip);
+  design_ = generate_dsp_chip(library_, resident_chip(opt_));
   // Summaries warm the characterization tables every forked runner
   // inherits.
   chip_net_summaries(design_, extractor_, chars_);
@@ -374,7 +368,7 @@ std::vector<std::size_t> ServeDaemon::candidates_for(const JobSpec& spec) {
   const ChipDesign* target = &design_;
   ChipDesign job_design;
   if (spec.has_design_ref()) {
-    job_design = generate_dsp_chip(library_, chip_options_for(spec));
+    job_design = generate_dsp_chip(library_, spec.chip_options());
     target = &job_design;
   }
   const VerifierOptions vo = spec.to_options();
@@ -731,10 +725,7 @@ int ServeDaemon::runner_main(const Job& job, int write_fd) {
   std::unique_ptr<RemoteExecutor> remote;
   if (!opt_.workers.empty()) {
     JobSpec wspec = job.spec;
-    if (!wspec.has_design_ref()) {
-      wspec.design_nets = opt_.net_count;
-      if (opt_.replicate_rows > 1) wspec.design_rows = opt_.replicate_rows;
-    }
+    if (!wspec.has_design_ref()) wspec.set_chip_options(resident_chip(opt_));
     RemoteExecOptions ro;
     ro.workers = opt_.workers;
     ro.heartbeat_ms = opt_.worker_heartbeat_ms;
@@ -752,7 +743,7 @@ int ServeDaemon::runner_main(const Job& job, int write_fd) {
     const ChipDesign* target = &design_;
     ChipDesign job_design;
     if (job.spec.has_design_ref()) {
-      job_design = generate_dsp_chip(library_, chip_options_for(job.spec));
+      job_design = generate_dsp_chip(library_, job.spec.chip_options());
       target = &job_design;
     }
     ChipVerifier verifier(extractor_, chars_);

@@ -3,15 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "core/option_table.h"
 #include "util/atomic_file.h"
+#include "util/parse.h"
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
-#include <vector>
 
 namespace xtv {
 namespace serve {
@@ -20,30 +19,6 @@ namespace {
 
 constexpr const char* kSpecMagic = "xtvss";
 constexpr const char* kDoneMagic = "xtvsd";
-
-bool parse_size_text(const std::string& s, std::size_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool parse_long_text(const std::string& s, long* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_bool_text(const std::string& s, bool* out) {
-  if (s == "0") { *out = false; return true; }
-  if (s == "1") { *out = true; return true; }
-  return false;
-}
 
 }  // namespace
 
@@ -69,15 +44,7 @@ bool parse_job_state(const std::string& name, JobState* out) {
   return false;
 }
 
-JobSpec::JobSpec() {
-  // chip_audit parity (see examples/chip_audit.cpp): an empty spec and a
-  // bare chip_audit invocation share one options hash, so their journals
-  // are interchangeable and bit-identical.
-  options.glitch_threshold = 0.10;
-  options.glitch.align_aggressors = true;
-  options.glitch.tstop = 4e-9;
-  options.model_cache_mb = 64.0;
-}
+JobSpec::JobSpec() : options(audit_default_options()) {}
 
 bool JobSpec::parse(const std::string& text, JobSpec* spec,
                     std::string* error) {
@@ -97,97 +64,30 @@ bool JobSpec::parse(const std::string& text, JobSpec* spec,
       if (error) *error = k + " expects " + want + ", got \"" + v + "\"";
       return false;
     };
-    double d = 0.0;
-    std::size_t z = 0;
-    long l = 0;
-    bool b = false;
-    if (k == "threshold") {
-      if (!parse_double_token(v, &d) || d <= 0.0 || d > 1.0)
-        return bad("a fraction in (0,1]");
-      out.options.glitch_threshold = d;
-    } else if (k == "latch_only") {
-      if (!parse_bool_text(v, &b)) return bad("0 or 1");
-      out.options.latch_inputs_only = b;
-    } else if (k == "delay") {
-      if (!parse_bool_text(v, &b)) return bad("0 or 1");
-      out.options.analyze_delay_change = b;
-    } else if (k == "screen") {
-      if (!parse_bool_text(v, &b)) return bad("0 or 1");
-      out.options.use_noise_screen = b;
-    } else if (k == "em_limit") {
-      if (!parse_double_token(v, &d) || d < 0.0) return bad("a value >= 0");
-      out.options.em_rms_limit = d;
-    } else if (k == "align") {
-      if (!parse_bool_text(v, &b)) return bad("0 or 1");
-      out.options.glitch.align_aggressors = b;
-    } else if (k == "tstop") {
-      if (!parse_double_token(v, &d) || d <= 0.0) return bad("a time > 0");
-      out.options.glitch.tstop = d;
-    } else if (k == "mor_order") {
-      if (!parse_size_text(v, &z)) return bad("an integer (0 = automatic)");
-      out.options.glitch.mor.max_order = z;
-    } else if (k == "certify") {
-      if (!parse_bool_text(v, &b)) return bad("0 or 1");
-      out.options.certify = b;
-    } else if (k == "cert_tol") {
-      if (!parse_double_token(v, &d) || d <= 0.0) return bad("a value > 0");
-      out.options.cert_rel_tol = d;
-    } else if (k == "cert_freqs") {
-      if (!parse_size_text(v, &z) || z < 1) return bad("an integer >= 1");
-      out.options.cert_freqs = z;
-    } else if (k == "max_mor_order") {
-      if (!parse_size_text(v, &z) || z < 1) return bad("an integer >= 1");
-      out.options.max_mor_order = z;
-    } else if (k == "mor_step") {
-      if (!parse_size_text(v, &z) || z < 1) return bad("an integer >= 1");
-      out.options.mor_order_step = z;
-    } else if (k == "audit_fraction") {
-      if (!parse_double_token(v, &d) || d < 0.0 || d > 1.0)
-        return bad("a fraction in [0,1]");
-      out.options.audit_fraction = d;
-    } else if (k == "audit_seed") {
-      if (!parse_size_text(v, &z)) return bad("an unsigned integer");
-      out.options.audit_seed = z;
-    } else if (k == "cache_mb") {
-      if (!parse_double_token(v, &d) || d < 0.0) return bad("a size >= 0");
-      out.options.model_cache_mb = d;
-    } else if (k == "canonical_cache") {
-      if (!parse_bool_text(v, &b)) return bad("0 or 1");
-      out.options.canonical_cache = b;
-    } else if (k == "canonical_tol") {
-      if (!parse_double_token(v, &d) || d <= 0.0 || d > 1.0)
-        return bad("a relative tolerance in (0,1]");
-      out.options.canonical_cache_tol = d;
-    } else if (k == "cluster_deadline_ms") {
-      if (!parse_double_token(v, &d) || d < 0.0) return bad("a value >= 0");
-      out.options.cluster_deadline_ms = d;
-    } else if (k == "cluster_mem_mb") {
-      if (!parse_double_token(v, &d) || d < 0.0) return bad("a size >= 0");
-      out.options.cluster_mem_mb = d;
+    if (const OptionRow* row = option_by_key(k)) {
+      if (!set_option(*row, v, &out.options)) return bad(row->want);
     } else if (k == "processes") {
-      if (!parse_size_text(v, &z)) return bad("an integer >= 0");
-      out.processes = z;
+      if (!parse_unsigned(v, &out.processes)) return bad("an integer >= 0");
     } else if (k == "heartbeat_ms") {
-      if (!parse_double_token(v, &d) || d <= 0.0) return bad("a period > 0");
-      out.heartbeat_ms = d;
+      if (!parse_finite(v, &out.heartbeat_ms, {0.0, 1e9, true}))
+        return bad("a period in (0,1e9] ms");
     } else if (k == "deadline_ms") {
-      if (!parse_double_token(v, &d)) return bad("a value in ms");
-      out.deadline_ms = d;
+      // Negative values mean "daemon default", and to_text writes -1.
+      if (!parse_finite(v, &out.deadline_ms)) return bad("a value in ms");
     } else if (k == "retries") {
-      if (!parse_long_text(v, &l)) return bad("an integer");
-      out.retries = l;
+      if (!parse_signed(v, &out.retries)) return bad("an integer");
     } else if (k == "nets") {
-      if (!parse_size_text(v, &z)) return bad("an integer (0 = resident design)");
-      out.design_nets = z;
-      saw_inline_design = saw_inline_design || z != 0;
+      if (!parse_unsigned(v, &out.design_nets))
+        return bad("an integer (0 = resident design)");
+      saw_inline_design = saw_inline_design || out.design_nets != 0;
     } else if (k == "rows") {
-      if (!parse_size_text(v, &z)) return bad("an integer (0 = generator default)");
-      out.design_rows = z;
-      saw_inline_design = saw_inline_design || z != 0;
+      if (!parse_unsigned(v, &out.design_rows))
+        return bad("an integer (0 = generator default)");
+      saw_inline_design = saw_inline_design || out.design_rows != 0;
     } else if (k == "chip_seed") {
-      if (!parse_size_text(v, &z)) return bad("an unsigned integer");
-      out.design_seed = z;
-      saw_inline_design = saw_inline_design || z != 0;
+      if (!parse_unsigned(v, &out.design_seed))
+        return bad("an unsigned integer");
+      saw_inline_design = saw_inline_design || out.design_seed != 0;
     } else if (k == "design") {
       if (saw_design_file) return bad("at most one design= per spec");
       std::string derr;
@@ -198,8 +98,8 @@ bool JobSpec::parse(const std::string& text, JobSpec* spec,
       }
       saw_design_file = true;
     } else if (k == "mem_mb") {
-      if (!parse_double_token(v, &d) || d < 0.0) return bad("a size >= 0");
-      out.mem_mb = d;
+      if (!parse_finite(v, &out.mem_mb, {0.0, 1e9}))
+        return bad("a size in [0,1e9] MiB");
     } else {
       if (error) *error = "unknown spec key \"" + k + "\"";
       return false;
@@ -215,6 +115,20 @@ bool JobSpec::parse(const std::string& text, JobSpec* spec,
   }
   *spec = std::move(out);
   return true;
+}
+
+DspChipOptions JobSpec::chip_options() const {
+  DspChipOptions chip;
+  chip.net_count = design_nets;
+  if (design_rows != 0) chip.replicate_rows = design_rows;
+  if (design_seed != 0) chip.seed = design_seed;
+  return chip;
+}
+
+void JobSpec::set_chip_options(const DspChipOptions& chip) {
+  design_nets = chip.net_count;
+  design_rows = chip.replicate_rows > 1 ? chip.replicate_rows : 0;
+  design_seed = chip.seed != DspChipOptions{}.seed ? chip.seed : 0;
 }
 
 bool load_design_ref_file(const std::string& path, std::size_t* nets,
@@ -241,8 +155,8 @@ bool load_design_ref_file(const std::string& path, std::size_t* nets,
     const std::size_t eq = tok.find('=');
     const std::string k = eq == std::string::npos ? tok : tok.substr(0, eq);
     const std::string v = eq == std::string::npos ? "" : tok.substr(eq + 1);
-    std::size_t z = 0;
-    if (!parse_size_text(v, &z) ||
+    std::uint64_t z = 0;
+    if (!parse_unsigned(v, &z) ||
         (k != "nets" && k != "rows" && k != "seed")) {
       if (error) *error = "design file " + path + ": bad token \"" + tok + "\"";
       return false;
@@ -263,27 +177,9 @@ bool load_design_ref_file(const std::string& path, std::size_t* nets,
 
 std::string JobSpec::to_text() const {
   std::ostringstream out;
-  out << "threshold=" << format_hexfloat(options.glitch_threshold)
-      << " latch_only=" << (options.latch_inputs_only ? 1 : 0)
-      << " delay=" << (options.analyze_delay_change ? 1 : 0)
-      << " screen=" << (options.use_noise_screen ? 1 : 0)
-      << " em_limit=" << format_hexfloat(options.em_rms_limit)
-      << " align=" << (options.glitch.align_aggressors ? 1 : 0)
-      << " tstop=" << format_hexfloat(options.glitch.tstop)
-      << " mor_order=" << options.glitch.mor.max_order
-      << " certify=" << (options.certify ? 1 : 0)
-      << " cert_tol=" << format_hexfloat(options.cert_rel_tol)
-      << " cert_freqs=" << options.cert_freqs
-      << " max_mor_order=" << options.max_mor_order
-      << " mor_step=" << options.mor_order_step
-      << " audit_fraction=" << format_hexfloat(options.audit_fraction)
-      << " audit_seed=" << options.audit_seed
-      << " cache_mb=" << format_hexfloat(options.model_cache_mb)
-      << " canonical_cache=" << (options.canonical_cache ? 1 : 0)
-      << " canonical_tol=" << format_hexfloat(options.canonical_cache_tol)
-      << " cluster_deadline_ms=" << format_hexfloat(options.cluster_deadline_ms)
-      << " cluster_mem_mb=" << format_hexfloat(options.cluster_mem_mb)
-      << " nets=" << design_nets
+  for (const OptionRow& row : option_rows())
+    if (row.key) out << row.key << '=' << format_option(row, options) << ' ';
+  out << "nets=" << design_nets
       << " rows=" << design_rows
       << " chip_seed=" << design_seed
       << " mem_mb=" << format_hexfloat(mem_mb)
@@ -305,26 +201,13 @@ std::uint64_t JobSpec::options_hash() const {
   return options_result_hash(to_options());
 }
 
-namespace {
-
-/// FNV-1a step over the 8 little-endian bytes of `v`.
-std::uint64_t fnv_mix64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
 std::uint64_t JobSpec::key() const {
   std::uint64_t h = options_hash();
   if (!has_design_ref()) return h;  // resident design: key == journal hash
-  h = fnv_mix64(h, 0x7874766473ull);  // "xtvds" tag: separates the domains
-  h = fnv_mix64(h, design_nets);
-  h = fnv_mix64(h, design_rows);
-  h = fnv_mix64(h, design_seed);
+  h = fnv1a_mix64(h, 0x7874766473ull);  // "xtvds" tag: separates the domains
+  h = fnv1a_mix64(h, design_nets);
+  h = fnv1a_mix64(h, design_rows);
+  h = fnv1a_mix64(h, design_seed);
   return h;
 }
 
@@ -335,12 +218,7 @@ std::string job_key_hex(std::uint64_t key) {
 }
 
 bool parse_job_key(const std::string& hex, std::uint64_t* key) {
-  if (hex.size() != 16) return false;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(hex.c_str(), &end, 16);
-  if (end != hex.c_str() + hex.size()) return false;
-  *key = v;
-  return true;
+  return hex.size() == 16 && parse_unsigned(hex, key, 16);
 }
 
 JobPaths job_paths(const std::string& jobs_dir, std::uint64_t key) {

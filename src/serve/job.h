@@ -49,11 +49,11 @@ bool parse_job_state(const std::string& name, JobState* out);
 /// One verification job: result-affecting analysis options plus
 /// scheduling knobs the daemon resolves at launch.
 struct JobSpec {
-  /// Result-affecting options. Defaults mirror chip_audit's (10%-of-Vdd
-  /// threshold, worst-case aggressor alignment, 4 ns window, 64 MiB
-  /// model cache), so an empty spec reproduces a bare `chip_audit` run
-  /// bit-for-bit. journal_path/resume/threads/processes are owned by the
-  /// daemon and cannot be set from a spec.
+  /// Result-affecting options, starting from chip_audit's defaults
+  /// (audit_default_options()), so an empty spec reproduces a bare
+  /// `chip_audit` run bit-for-bit. A spec sets the rows of
+  /// core/option_table.h that have a spec key;
+  /// journal_path/resume/threads/processes are owned by the daemon.
   VerifierOptions options;
 
   // --- Design reference (part of the job key) ---
@@ -75,9 +75,10 @@ struct JobSpec {
 
   JobSpec();
 
-  /// Parses "key=value ..." text. Unknown keys, malformed values, and
-  /// out-of-range values (threshold outside (0,1], audit_fraction outside
-  /// [0,1], ...) are rejected with a message in `error`.
+  /// Parses "key=value ..." text: the option table's spec keys, plus the
+  /// design and scheduling keys above. Unknown keys, malformed values and
+  /// out-of-range values (nan, a sign on an unsigned value, threshold
+  /// outside (0,1], ...) are rejected with a message in `error`.
   static bool parse(const std::string& text, JobSpec* spec,
                     std::string* error);
 
@@ -90,6 +91,15 @@ struct JobSpec {
   VerifierOptions to_options() const;
 
   bool has_design_ref() const { return design_nets != 0; }
+
+  /// The chipgen parameters the design reference names; 0-valued
+  /// rows/seed keep the generator defaults, so `nets=N` alone names the
+  /// chip a daemon booted with `--nets N` serves.
+  DspChipOptions chip_options() const;
+  /// Points the design reference at `chip`: nets always, rows only when
+  /// > 1, and the seed only when it is not chipgen's default (a chip seed
+  /// of 0 cannot travel: chip_seed=0 means the default).
+  void set_chip_options(const DspChipOptions& chip);
 
   /// The hash verify() stamps into this job's journal header:
   /// options_result_hash(to_options()). Design fields never enter it.

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 
@@ -21,6 +20,7 @@
 #include "serve/client.h"
 #include "serve/job.h"
 #include "util/log.h"
+#include "util/parse.h"
 
 namespace xtv {
 namespace serve {
@@ -121,11 +121,7 @@ struct WorkerEngine {
         extractor(tech),
         verifier(extractor, chars) {
     if (!cell_cache.empty()) chars.load(cell_cache);
-    DspChipOptions chip;
-    chip.net_count = spec.design_nets;
-    if (spec.design_rows != 0) chip.replicate_rows = spec.design_rows;
-    if (spec.design_seed != 0) chip.seed = spec.design_seed;
-    design = generate_dsp_chip(library, chip);
+    design = generate_dsp_chip(library, spec.chip_options());
     vo = spec.to_options();
     // Scheduling state is the coordinator's business; the worker only
     // analyzes. (None of these enter options_result_hash.)
@@ -166,7 +162,6 @@ void worker_serve_connection(int fd, const WorkerOptions& opt) {
     std::string hex, hbstr;
     in >> hex >> hbstr;
     std::uint64_t coord_hash = 0;
-    period = std::strtod(hbstr.c_str(), nullptr);
     std::string spec_text;
     std::getline(in, spec_text);
     if (!spec_text.empty() && spec_text.front() == ' ') spec_text.erase(0, 1);
@@ -174,6 +169,7 @@ void worker_serve_connection(int fd, const WorkerOptions& opt) {
     JobSpec spec;
     std::string err;
     if (!parse_job_key(hex, &coord_hash) ||
+        !parse_finite(hbstr, &period, {0.0, 1e9, true}) ||
         !JobSpec::parse(spec_text, &spec, &err)) {
       writer.send(WireType::kWorkerReject, "bad-spec " + serve_escape(err));
       continue;

@@ -39,13 +39,9 @@ std::size_t read_rss_bytes() {
 ClusterScope::ClusterScope(std::size_t limit_bytes, const char* label)
     : limit_(limit_bytes), label_(label), prev_(t_current_scope) {
   t_current_scope = this;
-  MemoryGovernor::instance().add_scope(this);
 }
 
-ClusterScope::~ClusterScope() {
-  MemoryGovernor::instance().remove_scope(this);
-  t_current_scope = prev_;
-}
+ClusterScope::~ClusterScope() { t_current_scope = prev_; }
 
 ClusterScope* ClusterScope::current() { return t_current_scope; }
 
@@ -122,29 +118,6 @@ void ScopedCharge::shrink(std::size_t bytes) {
 MemoryGovernor& MemoryGovernor::instance() {
   static MemoryGovernor governor;
   return governor;
-}
-
-std::size_t MemoryGovernor::scoped_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const ClusterScope* scope : scopes_) total += scope->used();
-  return total;
-}
-
-std::size_t MemoryGovernor::scope_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return scopes_.size();
-}
-
-void MemoryGovernor::add_scope(ClusterScope* scope) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  scopes_.push_back(scope);
-}
-
-void MemoryGovernor::remove_scope(ClusterScope* scope) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  scopes_.erase(std::remove(scopes_.begin(), scopes_.end(), scope),
-                scopes_.end());
 }
 
 RssWatchdog::RssWatchdog(std::size_t soft_limit_bytes,

@@ -16,9 +16,9 @@
 //  - MemCharge / ScopedCharge: RAII charge handles. MemCharge is embedded
 //    in owning containers (DenseMatrix); ScopedCharge accumulates
 //    incremental growth (Krylov sweeps, waveform appends).
-//  - MemoryGovernor: process-wide registry of live scopes plus a pressure
-//    flag, giving admission control a global picture without putting any
-//    shared atomic on the per-allocation charge path.
+//  - MemoryGovernor: the process-wide memory-pressure flag admission
+//    control reads; scopes never touch it, so neither opening a scope nor
+//    charging one takes a process-global lock.
 //  - RssWatchdog: a sampling thread that reads /proc/self/statm and raises
 //    the governor's pressure flag when resident set crosses a soft limit;
 //    the verifier sheds the largest queued clusters first in response.
@@ -32,7 +32,6 @@
 #include <cstddef>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 namespace xtv::resource {
 
@@ -179,18 +178,10 @@ class ScopedCharge {
   std::size_t total_ = 0;
 };
 
-/// Process-wide view over live scopes plus the memory-pressure flag that
-/// drives admission control. Scopes register/unregister under a mutex;
-/// the charge path never touches the governor.
+/// The process-wide memory-pressure flag that drives admission control.
 class MemoryGovernor {
  public:
   static MemoryGovernor& instance();
-
-  /// Sum of bytes currently charged across every live scope.
-  std::size_t scoped_bytes() const;
-
-  /// Number of live scopes (diagnostics).
-  std::size_t scope_count() const;
 
   /// True when the watchdog (or a forced override) reports pressure; the
   /// verifier responds by shedding its largest queued clusters to bounds.
@@ -209,14 +200,8 @@ class MemoryGovernor {
   }
 
  private:
-  friend class ClusterScope;
   MemoryGovernor() = default;
 
-  void add_scope(ClusterScope* scope);
-  void remove_scope(ClusterScope* scope);
-
-  mutable std::mutex mutex_;
-  std::vector<ClusterScope*> scopes_;
   std::atomic<bool> watchdog_pressure_{false};
   std::atomic<bool> forced_pressure_{false};
 };

@@ -88,20 +88,6 @@ TEST(ResourceScope, NestedScopesBillTheInnermost) {
   EXPECT_EQ(resource::ClusterScope::current(), &outer);
 }
 
-TEST(ResourceScope, GovernorSeesLiveScopesAndReturnsToBaseline) {
-  resource::MemoryGovernor& gov = resource::MemoryGovernor::instance();
-  const std::size_t base_bytes = gov.scoped_bytes();
-  const std::size_t base_scopes = gov.scope_count();
-  {
-    resource::ClusterScope scope;
-    resource::MemCharge c(12345);
-    EXPECT_EQ(gov.scope_count(), base_scopes + 1);
-    EXPECT_EQ(gov.scoped_bytes(), base_bytes + 12345);
-  }
-  EXPECT_EQ(gov.scope_count(), base_scopes);
-  EXPECT_EQ(gov.scoped_bytes(), base_bytes);
-}
-
 // ---------------------------------------------------------------------------
 // DenseMatrix integration: storage is charged, a breach precedes the
 // allocation, and copies/moves keep the accounting exact.

@@ -31,6 +31,7 @@
 
 #include "chipgen/dsp_chip.h"
 #include "core/journal.h"
+#include "core/option_table.h"
 #include "core/pruning.h"
 #include "core/verifier.h"
 #include "serve/client.h"
@@ -55,22 +56,51 @@ using serve::ResourceGovernor;
 
 TEST(JobSpec, RoundTripsBitExactlyThroughText) {
   JobSpec spec;
-  spec.options.glitch_threshold = 0.0625;
-  spec.options.glitch.tstop = 3.1e-9;   // not exactly representable
-  spec.options.certify = true;
-  spec.options.cert_rel_tol = 0.034;
-  spec.options.audit_fraction = 0.125;
-  spec.options.latch_inputs_only = true;
+  VerifierOptions& o = spec.options;
+  o.glitch_threshold = 0.0625;
+  o.latch_inputs_only = true;
+  o.analyze_delay_change = true;
+  o.use_noise_screen = true;
+  o.em_rms_limit = 1.5e-3;
+  o.glitch.align_aggressors = false;
+  o.glitch.tstop = 3.1e-9;  // not exactly representable
+  o.glitch.mor.max_order = 12;
+  o.certify = true;
+  o.cert_rel_tol = 0.034;
+  o.cert_freqs = 7;
+  o.max_mor_order = 48;
+  o.mor_order_step = 2;
+  o.audit_fraction = 0.125;
+  o.audit_seed = 0xfeedfacecafeull;
+  o.model_cache_mb = 8.5;
+  o.canonical_cache = true;
+  o.canonical_cache_tol = 1e-3;
+  o.cluster_deadline_ms = 250.0;
+  o.cluster_mem_mb = 0.75;
+  spec.design_nets = 300;
+  spec.design_rows = 4;
+  spec.design_seed = 77;
+  spec.mem_mb = 96.0;
   spec.processes = 3;
   spec.heartbeat_ms = 123.456;
   spec.deadline_ms = 2500.0;
   spec.retries = 7;
+  // Every row with a spec key is off its default here, so a new spec
+  // row fails this test until it is set above.
+  const JobSpec defaults;
+  for (const OptionRow& row : option_rows()) {
+    if (!row.key) continue;
+    SCOPED_TRACE(row.key);
+    EXPECT_NE(format_option(row, o), format_option(row, defaults.options));
+  }
 
   JobSpec back;
   std::string err;
   ASSERT_TRUE(JobSpec::parse(spec.to_text(), &back, &err)) << err;
   EXPECT_EQ(back.to_text(), spec.to_text());
   EXPECT_EQ(back.key(), spec.key());
+  EXPECT_EQ(options_result_hash(back.to_options()),
+            options_result_hash(spec.to_options()));
   // Bitwise, not approximate: the key hashes double bit patterns.
   EXPECT_EQ(back.options.glitch.tstop, spec.options.glitch.tstop);
 }
@@ -106,6 +136,15 @@ TEST(JobSpec, RejectsMalformedAndOutOfRangeSpecs) {
       "cert_tol=0",         "cert_freqs=0",    "max_mor_order=0",
       "latch_only=yes",     "retries=2.5",     "frobnicate=1",
       "threshold",          "=1",              "restarts=2",
+      // Accepted before every front end read one table through one
+      // strict parser: nan/inf, values past chip_audit's ranges, and
+      // signs on unsigned values (which wrapped to 2^64-1).
+      "threshold=nan",      "cert_tol=inf",    "cert_tol=5",
+      "cache_mb=inf",       "tstop=inf",       "em_limit=nan",
+      "cluster_deadline_ms=nan", "canonical_tol=nan", "audit_fraction=nan",
+      "mor_order=-1",       "cert_freqs=-1",   "max_mor_order=+3",
+      "audit_seed=-1",      "processes=-1",    "heartbeat_ms=inf",
+      "deadline_ms=nan",    "nets=-1",         "mem_mb=nan",
   };
   for (const char* text : bad) {
     SCOPED_TRACE(text);
@@ -115,9 +154,169 @@ TEST(JobSpec, RejectsMalformedAndOutOfRangeSpecs) {
     EXPECT_FALSE(err.empty());
   }
   // mor_order=0 is NOT an error: 0 means "automatic order selection".
-  JobSpec spec;
-  std::string err;
-  EXPECT_TRUE(JobSpec::parse("mor_order=0", &spec, &err)) << err;
+  // Negative deadline_ms/retries mean "daemon default" (to_text writes
+  // -1 for both), so they parse too.
+  for (const char* text : {"mor_order=0", "deadline_ms=-1", "retries=-1"}) {
+    SCOPED_TRACE(text);
+    JobSpec spec;
+    std::string err;
+    EXPECT_TRUE(JobSpec::parse(text, &spec, &err)) << err;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Unit: the option table (core/option_table.h).
+
+TEST(OptionTable, ResultHashBitsArePinned) {
+  // Literals captured from the hand-written options_result_hash the table
+  // replaced. A journal or spec file written by any earlier build must
+  // keep its hash: never update these to make the test pass.
+  EXPECT_EQ(options_result_hash(VerifierOptions{}), 0x2a8a3c55899cd121ull);
+  EXPECT_EQ(options_result_hash(JobSpec{}.to_options()),
+            0x266478327dd4d311ull);
+  EXPECT_EQ(option_rows().size(), 35u);
+
+  struct Pin {
+    const char* field;
+    void (*set)(VerifierOptions&);
+    std::uint64_t hash;
+  };
+  // One row at a time, off its default. The 35th row, the constant that
+  // stands in for the deleted max_victims, has no field to set.
+  const Pin pins[] = {
+      {"prune.ratio_threshold",
+       [](VerifierOptions& o) { o.prune.ratio_threshold = 0.07; },
+       0x627f52d08d7c89fdull},
+      {"prune.abs_floor", [](VerifierOptions& o) { o.prune.abs_floor = 1e-15; },
+       0x53af2b3391447a51ull},
+      {"prune.max_aggressors",
+       [](VerifierOptions& o) { o.prune.max_aggressors = 8; },
+       0xb0f3192573e05d3dull},
+      {"prune.use_driver_strength",
+       [](VerifierOptions& o) { o.prune.use_driver_strength = false; },
+       0x7b94caaf44759b54ull},
+      {"glitch.driver_model",
+       [](VerifierOptions& o) {
+         o.glitch.driver_model = DriverModelKind::kFixedResistor;
+       },
+       0x10d48537db607dc2ull},
+      {"glitch.fixed_resistance",
+       [](VerifierOptions& o) { o.glitch.fixed_resistance = 2e3; },
+       0xef7d129dcc132dd1ull},
+      {"glitch.tstop", [](VerifierOptions& o) { o.glitch.tstop = 3.1e-9; },
+       0x6a031579a6ddb1e3ull},
+      {"glitch.dt", [](VerifierOptions& o) { o.glitch.dt = 1e-12; },
+       0x54235d9e5b50bbd1ull},
+      {"glitch.mor.max_order",
+       [](VerifierOptions& o) { o.glitch.mor.max_order = 12; },
+       0xa67a164480f9148dull},
+      {"glitch.mor.deflation_tol",
+       [](VerifierOptions& o) { o.glitch.mor.deflation_tol = 1e-9; },
+       0x3d5655b970e25a30ull},
+      {"glitch.align_aggressors",
+       [](VerifierOptions& o) { o.glitch.align_aggressors = false; },
+       0xcaa8e6b960eb7108ull},
+      {"glitch.spice_exploit_linearity",
+       [](VerifierOptions& o) { o.glitch.spice_exploit_linearity = false; },
+       0xa97f4b73349428a8ull},
+      {"glitch.default_switch_time",
+       [](VerifierOptions& o) { o.glitch.default_switch_time = 0.7e-9; },
+       0xc1c1f1b3b5c475bfull},
+      {"glitch_threshold", [](VerifierOptions& o) { o.glitch_threshold = 0.2; },
+       0x6b0cf92f89bb46b1ull},
+      {"latch_inputs_only",
+       [](VerifierOptions& o) { o.latch_inputs_only = true; },
+       0xdeaf7efd710d55a0ull},
+      {"analyze_delay_change",
+       [](VerifierOptions& o) { o.analyze_delay_change = true; },
+       0xc64bd49ea6bba460ull},
+      {"use_noise_screen", [](VerifierOptions& o) { o.use_noise_screen = true; },
+       0x2025a56302bf36c0ull},
+      {"em_rms_limit", [](VerifierOptions& o) { o.em_rms_limit = 1e-3; },
+       0xfcc8f4e2774e9aefull},
+      {"cluster_deadline_ms",
+       [](VerifierOptions& o) { o.cluster_deadline_ms = 250.0; },
+       0xa559a96df7aaf5eaull},
+      {"model_cache_mb", [](VerifierOptions& o) { o.model_cache_mb = 8.0; },
+       0x920f96ff43601381ull},
+      {"cluster_mem_mb", [](VerifierOptions& o) { o.cluster_mem_mb = 0.5; },
+       0xf1cf74b2c3ea3a70ull},
+      {"global_mem_soft_mb",
+       [](VerifierOptions& o) { o.global_mem_soft_mb = 2048.0; },
+       0xa9a6cf5172cc5081ull},
+      {"certify", [](VerifierOptions& o) { o.certify = true; },
+       0xce38225409242b00ull},
+      {"cert_rel_tol", [](VerifierOptions& o) { o.cert_rel_tol = 0.05; },
+       0x2ea3c6ad8bd94776ull},
+      {"cert_freqs", [](VerifierOptions& o) { o.cert_freqs = 7; },
+       0xc3eaf50ca0562297ull},
+      {"max_mor_order", [](VerifierOptions& o) { o.max_mor_order = 48; },
+       0x60c07d438eb03391ull},
+      {"mor_order_step", [](VerifierOptions& o) { o.mor_order_step = 2; },
+       0xc2ea70e26e01f933ull},
+      {"audit_fraction", [](VerifierOptions& o) { o.audit_fraction = 0.2; },
+       0x28223d5d145642e0ull},
+      {"audit_seed", [](VerifierOptions& o) { o.audit_seed = 9; },
+       0xbc5e1069231615c2ull},
+      {"audit_peak_tol_frac",
+       [](VerifierOptions& o) { o.audit_peak_tol_frac = 0.05; },
+       0xacfac2337c32ab62ull},
+      {"audit_time_tol", [](VerifierOptions& o) { o.audit_time_tol = 1e-10; },
+       0x5bb9976a5d7f1af1ull},
+      {"canonical_cache", [](VerifierOptions& o) { o.canonical_cache = true; },
+       0x8a1317656df413e0ull},
+      {"canonical_cache_tol",
+       [](VerifierOptions& o) { o.canonical_cache_tol = 1e-3; },
+       0xbf79011bc1d8fb07ull},
+      {"glitch.lte_vtol", [](VerifierOptions& o) { o.glitch.lte_vtol = 2e-3; },
+       0x2b2d3c558a273271ull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.field);
+    VerifierOptions o;
+    pin.set(o);
+    EXPECT_EQ(options_result_hash(o), pin.hash);
+  }
+
+  // Scheduling knobs have no row and never move the hash.
+  VerifierOptions sched;
+  sched.threads = 4;
+  sched.processes = 3;
+  sched.shard_heartbeat_ms = 10.0;
+  sched.journal_path = "x.journal";
+  sched.resume = true;
+  EXPECT_EQ(options_result_hash(sched), 0x2a8a3c55899cd121ull);
+}
+
+TEST(OptionTable, FlagAndSpecKeyAcceptTheSameValues) {
+  // chip_audit reads a flag's value through option_by_flag; a spec
+  // through JobSpec::parse. Both must take and refuse the same values,
+  // and land on the same options hash.
+  const char* probes[] = {"0",    "1",     "2",      "5",    "0.5",
+                          "1e-3", "0x1p-3", "-1",    "+3",   "1e9",
+                          "1e10", "1e13",  "nan",    "inf",  "-inf",
+                          "abc",  "",      "1e-400", " 1",   "7x"};
+  std::size_t rows_with_both = 0;
+  for (const OptionRow& row : option_rows()) {
+    if (!row.key || !row.flag) continue;
+    ++rows_with_both;
+    const OptionRow* by_flag = option_by_flag(row.flag);
+    ASSERT_NE(by_flag, nullptr);
+    for (const char* v : probes) {
+      SCOPED_TRACE(std::string(row.key) + "=" + v);
+      VerifierOptions cli = audit_default_options();
+      const bool cli_ok = set_option(*by_flag, v, &cli);
+      JobSpec spec;
+      std::string err;
+      const bool spec_ok =
+          JobSpec::parse(std::string(row.key) + "=" + v, &spec, &err);
+      EXPECT_EQ(cli_ok, spec_ok) << err;
+      if (cli_ok && spec_ok) {
+        EXPECT_EQ(options_result_hash(cli), spec.options_hash());
+      }
+    }
+  }
+  EXPECT_EQ(rows_with_both, 11u);
 }
 
 TEST(JobSpec, KeyHexRoundTripsAndRejectsGarbage) {
@@ -494,10 +693,29 @@ class ServeFixture : public ::testing::Test {
     remove_tree(dir_);
   }
 
+  /// The Reference characterization, saved once per process. Every
+  /// forked daemon loads it, so none characterizes the library before it
+  /// binds: under ASan that alone outlasted wait_ready's 60 s.
+  static const std::string& warm_cell_cache() {
+    if (cell_cache_.empty()) {
+      const std::string path = ::testing::TempDir() + "xtv_serve_cells_" +
+                               std::to_string(::getpid()) + ".cache";
+      chip_net_summaries(ref().design, ref().extractor, ref().chars);
+      ref().chars.save(path);
+      cell_cache_ = path;
+    }
+    return cell_cache_;
+  }
+
+  static void TearDownTestSuite() {
+    if (!cell_cache_.empty()) std::remove(cell_cache_.c_str());
+  }
+
   serve::DaemonOptions daemon_options() {
     serve::DaemonOptions opt;
     opt.socket_path = socket_;
     opt.jobs_dir = jobs_;
+    opt.cell_cache = warm_cell_cache();
     opt.net_count = kNets;
     opt.default_processes = 2;
     opt.backoff.base_ms = 50.0;
@@ -736,6 +954,7 @@ class ServeFixture : public ::testing::Test {
 
   std::string dir_, socket_, jobs_;
   pid_t daemon_pid_ = -1;
+  static inline std::string cell_cache_;  // warm_cell_cache()'s file
 };
 
 TEST_F(ServeFixture, ServedJobMatchesDirectVerifyBitExactly) {

@@ -1,10 +1,11 @@
 // Unit tests for src/util: PRNG determinism & distribution sanity,
-// summary statistics, histograms, tables.
+// summary statistics, histograms, tables, strict number parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
+#include "util/parse.h"
 #include "util/prng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -199,6 +200,54 @@ TEST(Timer, MeasuresElapsed) {
   EXPECT_GE(t.elapsed(), 0.0);
   t.restart();
   EXPECT_LT(t.elapsed(), 1.0);
+}
+
+TEST(Parse, UnsignedTakesWholeDigitTokensOnly) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_unsigned("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_unsigned("18446744073709551615", &v));
+  EXPECT_EQ(v, 18446744073709551615ull);
+  EXPECT_TRUE(parse_unsigned("c07ebd46bf789f57", &v, 16));
+  EXPECT_EQ(v, 0xc07ebd46bf789f57ull);
+  // A sign would wrap, overflow would saturate, and the rest is junk.
+  for (const char* bad : {"", "-1", "+3", " 5", "5 ", "5x", "0x10", "1.0",
+                          "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    v = 7;
+    EXPECT_FALSE(parse_unsigned(bad, &v));
+    EXPECT_EQ(v, 7u);  // untouched on failure
+  }
+  long l = 0;
+  EXPECT_TRUE(parse_signed("-1", &l));
+  EXPECT_EQ(l, -1);
+  EXPECT_FALSE(parse_signed("2.5", &l));
+  EXPECT_FALSE(parse_signed("99999999999999999999", &l));
+}
+
+TEST(Parse, FiniteRejectsNanInfRangeErrorsAndJunk) {
+  double d = 0.0;
+  EXPECT_TRUE(parse_finite("0x1.8p+1", &d));
+  EXPECT_EQ(d, 3.0);
+  EXPECT_TRUE(parse_finite("-2.5e-3", &d));
+  EXPECT_EQ(d, -2.5e-3);
+  // An exactly written subnormal is no range error.
+  EXPECT_TRUE(parse_finite(format_hexfloat(4.9e-324), &d));
+  EXPECT_EQ(d, 4.9e-324);
+  for (const char* bad : {"", "nan", "inf", "-inf", "1e400", "1e-400", " 1",
+                          "1 ", "1x", "abc"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(parse_finite(bad, &d));
+  }
+  const Range open_unit{0.0, 1.0, true};
+  EXPECT_TRUE(parse_finite("1", &d, open_unit));
+  EXPECT_FALSE(parse_finite("0", &d, open_unit));
+  EXPECT_FALSE(parse_finite("1.5", &d, open_unit));
+  // Journals load back whatever they wrote, non-finite values included.
+  EXPECT_TRUE(parse_double_token(format_hexfloat(-INFINITY), &d));
+  EXPECT_TRUE(std::isinf(d) && d < 0.0);
+  EXPECT_TRUE(parse_double_token("nan", &d));
+  EXPECT_TRUE(std::isnan(d));
 }
 
 }  // namespace
